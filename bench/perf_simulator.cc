@@ -164,35 +164,6 @@ void BM_DefectScreening(benchmark::State& state) {
 }
 BENCHMARK(BM_DefectScreening)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// End-to-end batched defect screening on the exact coverage_comparison
-// universe (chain 3, 50 ns, full enumeration + 4 pipe values), serial so
-// the measured ratio is the batching win alone. Arg = batch K: 1 is the
-// exact scalar engine, 8 is the campaign's comparison default. This is
-// the speedup number docs/performance.md quotes, and the CI benchmark-
-// regression gate (golden_check --bench-perf) holds the family against
-// the BENCH_perf.json baseline. Classifications at any K are regression-
-// tested bit-identical (tests/batch_screening_test.cc).
-void BM_BatchedScreen(benchmark::State& state) {
-  core::ScreeningOptions opt;
-  opt.chain_length = 3;
-  opt.sim_time = 50e-9;
-  opt.detector.load_cap = 1e-12;
-  opt.enumeration.pipe_values = {1e3, 2e3, 4e3, 8e3};
-  opt.threads = 1;
-  opt.batch = static_cast<int>(state.range(0));
-  int64_t defects = 0;
-  for (auto _ : state) {
-    auto report = core::ScreenBufferChain(opt);
-    if (!report.ok()) state.SkipWithError("screening failed");
-    defects += report->total();
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(defects);
-  state.SetLabel(opt.batch == 1 ? "scalar"
-                                : "batch=" + std::to_string(opt.batch));
-}
-BENCHMARK(BM_BatchedScreen)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
-
 // Stuck-at fault-simulation throughput on a >500-fault netlist.
 // Arg 0 = serial reference, 1 = bit-parallel single-threaded,
 // 2 = bit-parallel all cores.
@@ -222,9 +193,7 @@ BENCHMARK(BM_StuckAtFaultSim)->Arg(0)->Arg(1)->Arg(2)
 // unknowns): compiled stamp plan vs the legacy hash-and-branch path, in
 // dense and sparse routing. Plan and legacy produce bit-identical
 // Jacobians/RHS (tests/stamp_plan_test.cc); this measures only the cost
-// delta. Mode 2 additionally enables device bypass with an unchanged
-// iterate — the converged-Newton steady state that latency exploitation
-// targets, where every device replays its cached contribution.
+// delta.
 void BM_Assemble(benchmark::State& state) {
   netlist::Netlist nl;
   cml::CmlTechnology tech;
@@ -234,61 +203,20 @@ void BM_Assemble(benchmark::State& state) {
   sim::MnaSystem mna(nl);
   mna.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
   mna.set_initializing_state(true);
-  const int mode = static_cast<int>(state.range(0));  // 0 legacy, 1 plan, 2 plan+bypass
+  const bool plan = state.range(0) != 0;
   const bool sparse = state.range(1) != 0;
-  mna.set_stamp_plan_mode(mode == 0 ? sim::MnaSystem::StampPlanMode::kOff
-                                    : sim::MnaSystem::StampPlanMode::kForce);
-  if (mode >= 2) {
-    mna.set_bypass(true, sim::NewtonOptions().bypass_reltol,
-                   sim::NewtonOptions().bypass_abstol);
-  }
+  mna.set_stamp_plan_mode(plan ? sim::MnaSystem::StampPlanMode::kForce
+                               : sim::MnaSystem::StampPlanMode::kOff);
   mna.set_sparse(sparse);
   linalg::Vector x(static_cast<size_t>(mna.num_unknowns()), 0.0);
   for (auto _ : state) {
     mna.Assemble(x);
     benchmark::DoNotOptimize(mna.rhs().data());
   }
-  static const char* kModes[] = {"legacy", "plan", "plan+bypass"};
-  state.SetLabel(std::string(kModes[mode]) + "/" +
+  state.SetLabel(std::string(plan ? "plan" : "legacy") + "/" +
                  (sparse ? "sparse" : "dense"));
 }
-BENCHMARK(BM_Assemble)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1});
-
-// End-to-end transient on a 16-buffer clocked chain (above the Jacobian
-// reuse economics gate) with the opt-in Newton fast path staged in:
-// exact -> device bypass -> bypass + Jacobian reuse (see NewtonOptions;
-// results are tolerance-equivalent, covered by tests/equivalence_test.cc).
-void BM_TransientFastPath(benchmark::State& state) {
-  netlist::Netlist nl;
-  cml::CmlTechnology tech;
-  cml::CellBuilder cells(nl, tech);
-  const cml::DiffPort in = cells.AddDifferentialClock("in", 100e6);
-  // Same 32-buffer chain (133 unknowns) as BM_Assemble: large enough that
-  // the dense kAuto solver is used and the Jacobian-reuse economics gate
-  // (jacobian_reuse_min_unknowns) is open.
-  cells.AddBufferChain("x", in, 32);
-  sim::TransientOptions opts;
-  opts.tstop = 10e-9;
-  const int mode = static_cast<int>(state.range(0));
-  if (mode >= 1) opts.dc.newton.bypass = true;
-  if (mode >= 2) opts.dc.newton.jacobian_reuse = true;
-  int64_t steps = 0;
-  for (auto _ : state) {
-    auto r = sim::RunTransient(nl, opts);
-    if (!r.ok()) state.SkipWithError("transient failed");
-    steps += r->stats().accepted_steps;
-  }
-  state.SetItemsProcessed(steps);
-  state.SetLabel(mode == 0 ? "exact"
-                           : (mode == 1 ? "bypass" : "bypass+jac_reuse"));
-}
-BENCHMARK(BM_TransientFastPath)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_Assemble)->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1});
 
 // Hierarchical bordered-block-diagonal solver (sim/hier.h) on clocked
 // buffer chains of growing cell count. Arg = chain length; a short

@@ -58,8 +58,6 @@ class VSource : public netlist::Device {
 
   int num_branches() const override { return 1; }
   void Stamp(netlist::StampContext& ctx) const override;
-  // Linear, but the stamped E(t) follows time / mode / source_scale.
-  bool has_context_dependent_stamp() const override { return true; }
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<VSource>(*this);
   }
@@ -80,8 +78,6 @@ class ISource : public netlist::Device {
   const Waveform& waveform() const { return waveform_; }
 
   void Stamp(netlist::StampContext& ctx) const override;
-  // Linear, but the stamped I(t) follows time / mode / source_scale.
-  bool has_context_dependent_stamp() const override { return true; }
   std::unique_ptr<netlist::Device> Clone() const override {
     return std::make_unique<ISource>(*this);
   }

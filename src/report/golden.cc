@@ -258,7 +258,7 @@ GoldenDiff CompareGbenchStructure(const Json& actual, const Json& golden) {
 namespace {
 
 /// Family = benchmark name up to the first '/', e.g.
-/// "BM_TransientFastPath/2" -> "BM_TransientFastPath".
+/// "BM_HierTransient/256" -> "BM_HierTransient".
 std::string FamilyOf(const std::string& name) {
   const size_t slash = name.find('/');
   return slash == std::string::npos ? name : name.substr(0, slash);

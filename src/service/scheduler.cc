@@ -56,6 +56,7 @@ const char* HttpStatusText(int code) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 413: return "Payload Too Large";
     default: return "Internal Server Error";
   }
 }
@@ -337,10 +338,28 @@ bool Scheduler::ProcessWorkerFrames(Conn& conn, double now) {
 }
 
 void Scheduler::ProcessHttpRequest(Conn& conn) {
+  // One request per connection: once a response is queued, whatever else
+  // the peer sends is discarded so the buffer cannot grow.
+  if (conn.close_after_write) {
+    conn.in.clear();
+    return;
+  }
+  auto reject = [&](int status_code, const char* body) {
+    conn.in.clear();
+    QueueHttpResponse(conn, status_code, body);
+  };
   const size_t header_end = conn.in.find("\r\n\r\n");
+  const size_t header_bytes =
+      header_end == std::string::npos ? conn.in.size() : header_end;
+  if (header_bytes > kMaxHttpHeaderBytes) {
+    reject(413, "{\"error\":\"request header too large\"}");
+    return;
+  }
   if (header_end == std::string::npos) return;  // need more bytes
   const std::string head = conn.in.substr(0, header_end);
 
+  // Content-Length must be all digits (blanks around it allowed) and at
+  // most kMaxHttpBodyBytes, so header_end + 4 + content_length cannot wrap.
   size_t content_length = 0;
   size_t line_start = 0;
   while (line_start < head.size()) {
@@ -349,7 +368,21 @@ void Scheduler::ProcessHttpRequest(Conn& conn) {
     std::string line = head.substr(line_start, line_end - line_start);
     for (char& ch : line) ch = static_cast<char>(std::tolower(ch));
     if (line.rfind("content-length:", 0) == 0) {
-      content_length = std::strtoull(line.c_str() + 15, nullptr, 10);
+      const size_t first = line.find_first_not_of(" \t", 15);
+      const size_t last = line.find_last_not_of(" \t");
+      if (first == std::string::npos ||
+          line.find_first_not_of("0123456789", first) <= last) {
+        reject(400, "{\"error\":\"malformed Content-Length\"}");
+        return;
+      }
+      content_length = 0;
+      for (size_t k = first; k <= last; ++k) {
+        content_length = content_length * 10 + static_cast<size_t>(line[k] - '0');
+        if (content_length > kMaxHttpBodyBytes) {
+          reject(413, "{\"error\":\"request body too large\"}");
+          return;
+        }
+      }
     }
     line_start = line_end + 2;
   }
@@ -434,6 +467,8 @@ bool Scheduler::ReadConn(Conn& conn, double now) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
     if (n > 0) {
       conn.in.append(buf, static_cast<size_t>(n));
+      // Parse as bytes arrive so the size caps bound the buffer.
+      if (conn.is_http) ProcessHttpRequest(conn);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

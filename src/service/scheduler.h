@@ -72,6 +72,11 @@ class Scheduler {
   util::Status Run();
 
  private:
+  // HTTP request caps: header bytes before the blank line, and the
+  // Content-Length a request may declare. Larger requests get 413.
+  static constexpr size_t kMaxHttpHeaderBytes = 16 << 10;
+  static constexpr size_t kMaxHttpBodyBytes = 1 << 20;
+
   struct Conn {
     int fd = -1;
     bool is_http = false;

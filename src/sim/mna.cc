@@ -1,7 +1,6 @@
 #include "sim/mna.h"
 
 #include <cassert>
-#include <cmath>
 #include <unordered_set>
 
 #include "sim/hier.h"
@@ -18,8 +17,6 @@ struct AssemblyMetrics {
       util::telemetry::GetCounter("sim.assembly.plan_compiles");
   util::telemetry::Counter plan_mismatches =
       util::telemetry::GetCounter("sim.assembly.plan_mismatches");
-  util::telemetry::Counter bypass_hits =
-      util::telemetry::GetCounter("sim.newton.bypass_hits");
 };
 const AssemblyMetrics& Metrics() {
   static const AssemblyMetrics m;
@@ -101,24 +98,6 @@ void MnaSystem::set_stamp_plan_mode(StampPlanMode mode) {
   if (mode == StampPlanMode::kOff) plan_ready_ = false;
 }
 
-void MnaSystem::set_bypass(bool enabled, double reltol, double abstol) {
-  if (enabled && !bypass_) {
-    // Re-enabling: drop caches captured before bypass was last disabled;
-    // their values were not refreshed while it was off.
-    std::fill(cache_valid_.begin(), cache_valid_.end(), 0);
-    std::fill(cache_valid_alt_.begin(), cache_valid_alt_.end(), 0);
-  }
-  bypass_ = enabled;
-  bypass_reltol_ = reltol;
-  bypass_abstol_ = abstol;
-}
-
-void MnaSystem::InvalidateDeviceCaches() {
-  ++stamp_epoch_;
-  std::fill(cache_valid_.begin(), cache_valid_.end(), 0);
-  std::fill(cache_valid_alt_.begin(), cache_valid_alt_.end(), 0);
-}
-
 void MnaSystem::Assemble(const linalg::Vector& iterate) {
   assert(static_cast<int>(iterate.size()) == num_unknowns_);
   assert(netlist_->num_devices() == num_devices_ &&
@@ -126,7 +105,7 @@ void MnaSystem::Assemble(const linalg::Vector& iterate) {
   iterate_ = &iterate;
   const bool use_plan =
       plan_mode_ == StampPlanMode::kForce ||
-      (plan_mode_ == StampPlanMode::kAuto && (sparse_ || bypass_));
+      (plan_mode_ == StampPlanMode::kAuto && sparse_);
   if (use_plan) {
     const bool replayable =
         plan_ready_ && plan_sparse_ == sparse_ &&
@@ -139,7 +118,6 @@ void MnaSystem::Assemble(const linalg::Vector& iterate) {
 }
 
 void MnaSystem::LegacyAssemble() {
-  last_assemble_all_bypassed_ = false;
   if (sparse_) {
     sparse_jac_.Clear();
   } else {
@@ -150,7 +128,6 @@ void MnaSystem::LegacyAssemble() {
 }
 
 void MnaSystem::RecordAssemble() {
-  last_assemble_all_bypassed_ = false;
   phase_ = AssemblyPhase::kRecording;
   plan_ready_ = false;
   rec_mat_.clear();
@@ -202,53 +179,6 @@ void MnaSystem::CompilePlan() {
   rhs_plan_.push_back(-1);
   state_plan_.push_back(-1);
 
-  device_class_.resize(static_cast<size_t>(num_devices_));
-  time_free_.resize(static_cast<size_t>(num_devices_));
-  input_cache_offset_.resize(static_cast<size_t>(num_devices_) + 1);
-  input_unknowns_.clear();
-  for (int i = 0; i < num_devices_; ++i) {
-    const Device& dev = netlist_->device(i);
-    if (!dev.is_nonlinear() && dev.num_states() == 0) {
-      device_class_[static_cast<size_t>(i)] =
-          dev.has_context_dependent_stamp() ? DeviceClass::kContextStatic
-                                            : DeviceClass::kPure;
-      time_free_[static_cast<size_t>(i)] = 0;
-    } else {
-      device_class_[static_cast<size_t>(i)] = DeviceClass::kDynamic;
-      time_free_[static_cast<size_t>(i)] =
-          dev.has_time_dependent_stamp() ? 0 : 1;
-    }
-    input_cache_offset_[static_cast<size_t>(i)] =
-        static_cast<uint32_t>(input_unknowns_.size());
-    for (int t = 0; t < dev.num_terminals(); ++t) {
-      input_unknowns_.push_back(static_cast<int32_t>(UnknownOfNode(dev.node(t))));
-    }
-    const DeviceSlots& s = slots_[static_cast<size_t>(i)];
-    for (int b = 0; b < dev.num_branches(); ++b) {
-      input_unknowns_.push_back(static_cast<int32_t>(s.branch_offset + b));
-    }
-  }
-  input_cache_offset_[static_cast<size_t>(num_devices_)] =
-      static_cast<uint32_t>(input_unknowns_.size());
-  input_cache_.assign(input_unknowns_.size(), 0.0);
-  mat_vals_.assign(rec_mat_.size(), 0.0);
-  rhs_vals_.assign(rhs_plan_.size() - 1, 0.0);
-  state_vals_.assign(state_plan_.size() - 1, 0.0);
-  cache_valid_.assign(static_cast<size_t>(num_devices_), 0);
-  cache_epoch_.assign(static_cast<size_t>(num_devices_), 0);
-  cache_ctx_epoch_.assign(static_cast<size_t>(num_devices_), 0);
-  cache_dt_.assign(static_cast<size_t>(num_devices_), -1.0);
-  state_input_vals_.assign(state_plan_.size() - 1, 0.0);
-  mat_vals_alt_.assign(mat_vals_.size(), 0.0);
-  rhs_vals_alt_.assign(rhs_vals_.size(), 0.0);
-  state_vals_alt_.assign(state_vals_.size(), 0.0);
-  cache_valid_alt_.assign(static_cast<size_t>(num_devices_), 0);
-  cache_ctx_epoch_alt_.assign(static_cast<size_t>(num_devices_), 0);
-  cache_dt_alt_.assign(static_cast<size_t>(num_devices_), -1.0);
-  input_cache_alt_.assign(input_cache_.size(), 0.0);
-  state_input_vals_alt_.assign(state_input_vals_.size(), 0.0);
-  state_scale_.assign(state_input_vals_.size(), 0.0);
-
   plan_sparse_ = sparse_;
   plan_assign_bias_ = sparse_ ? -0.0 : 0.0;
   plan_pattern_version_ = sparse_ ? sparse_jac_.pattern_version() : 0;
@@ -261,23 +191,8 @@ bool MnaSystem::ReplayAssemble() {
   plan_mismatch_ = false;
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   mat_cursor_ = rhs_cursor_ = state_cursor_ = 0;
-  uint64_t bypass_hits = 0;
   for (int i = 0; i < num_devices_; ++i) {
     const DeviceSpan& span = spans_[static_cast<size_t>(i)];
-    const int way = bypass_ ? CanBypassWay(static_cast<size_t>(i)) : -1;
-    if (way >= 0) {
-      ReplayFromCache(span, way == 1);
-      ++bypass_hits;
-      continue;
-    }
-    // Keep the previous timepoint's capture alive in the alternate way
-    // before this evaluation overwrites it (see mna.h: the two ways
-    // converge onto the two phases of a trapezoidal period-2 ripple).
-    // Re-evaluations within one timepoint just refresh the primary way.
-    if (bypass_ && cache_valid_[static_cast<size_t>(i)] &&
-        cache_epoch_[static_cast<size_t>(i)] != stamp_epoch_) {
-      PromoteCacheToAlt(static_cast<size_t>(i));
-    }
     netlist_->device(i).Stamp(*this);
     // A device may legitimately take a different conditional stamp path
     // than the recorded one (e.g. a charge companion crossing zero); the
@@ -288,12 +203,8 @@ bool MnaSystem::ReplayAssemble() {
       plan_mismatch_ = true;
       break;
     }
-    if (bypass_) CaptureCache(static_cast<size_t>(i));
   }
   phase_ = AssemblyPhase::kLegacy;
-  last_assemble_all_bypassed_ =
-      !plan_mismatch_ && bypass_hits == static_cast<uint64_t>(num_devices_);
-  if (bypass_hits > 0) Metrics().bypass_hits.Add(bypass_hits);
   if (plan_mismatch_) {
     plan_ready_ = false;
     Metrics().plan_mismatches.Increment();
@@ -302,174 +213,12 @@ bool MnaSystem::ReplayAssemble() {
   return true;
 }
 
-int MnaSystem::CanBypassWay(size_t index) const {
-  if (cache_valid_[index]) {
-    const DeviceClass cls = device_class_[index];
-    bool primary_ok = cls == DeviceClass::kPure;
-    if (!primary_ok) {
-      primary_ok = true;
-      if (cache_epoch_[index] != stamp_epoch_) {
-        // The epoch moved since capture. A context-static device
-        // (waveform source) must re-stamp: the clock may be what moved.
-        // A dynamic device that never reads the clock can survive — its
-        // stamp is a function of (inputs, previous state, dt, context)
-        // only, and each of those is validated: context exactly, dt
-        // exactly, previous state within the relative bypass tolerance
-        // (state drift maps to the same relative companion-current error
-        // the input tolerance already accepts), inputs within the
-        // standard tolerance.
-        if (cls != DeviceClass::kDynamic || !time_free_[index] ||
-            cache_ctx_epoch_[index] != ctx_epoch_ ||
-            cache_dt_[index] != dt_) {
-          primary_ok = false;
-        } else {
-          const DeviceSpan& span = spans_[index];
-          for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-            const double prev =
-                prev_states_[static_cast<size_t>(state_plan_[k])];
-            const double cached = state_input_vals_[k];
-            const double scale =
-                std::max(std::fabs(cached), state_scale_[k]);
-            if (std::fabs(prev - cached) > bypass_reltol_ * scale) {
-              primary_ok = false;
-              break;
-            }
-          }
-        }
-      }
-      if (primary_ok && cls == DeviceClass::kDynamic) {
-        // Every input unknown must sit within the bypass tolerance of
-        // where it was when the cache was captured.
-        const linalg::Vector& x = *iterate_;
-        const uint32_t begin = input_cache_offset_[index];
-        const uint32_t end = input_cache_offset_[index + 1];
-        for (uint32_t k = begin; k < end; ++k) {
-          const int32_t u = input_unknowns_[k];
-          const double v = u < 0 ? 0.0 : x[static_cast<size_t>(u)];
-          const double cached = input_cache_[k];
-          if (std::fabs(v - cached) >
-              bypass_abstol_ + bypass_reltol_ * std::fabs(cached)) {
-            primary_ok = false;
-            break;
-          }
-        }
-      }
-    }
-    if (primary_ok) return 0;
-  }
-  if (CanBypassAlt(index)) return 1;
-  return -1;
-}
-
-bool MnaSystem::CanBypassAlt(size_t index) const {
-  // The alternate way only ever holds a snapshot from an older timepoint,
-  // so it serves exactly the cross-epoch case: time-invariant dynamic
-  // devices with matching context/dt and in-tolerance states and inputs.
-  if (!cache_valid_alt_[index]) return false;
-  if (device_class_[index] != DeviceClass::kDynamic || !time_free_[index]) {
-    return false;
-  }
-  if (cache_ctx_epoch_alt_[index] != ctx_epoch_ ||
-      cache_dt_alt_[index] != dt_) {
-    return false;
-  }
-  const DeviceSpan& span = spans_[index];
-  for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    const double prev = prev_states_[static_cast<size_t>(state_plan_[k])];
-    const double cached = state_input_vals_alt_[k];
-    const double scale = std::max(std::fabs(cached), state_scale_[k]);
-    if (std::fabs(prev - cached) > bypass_reltol_ * scale) {
-      return false;
-    }
-  }
-  const linalg::Vector& x = *iterate_;
-  const uint32_t begin = input_cache_offset_[index];
-  const uint32_t end = input_cache_offset_[index + 1];
-  for (uint32_t k = begin; k < end; ++k) {
-    const int32_t u = input_unknowns_[k];
-    const double v = u < 0 ? 0.0 : x[static_cast<size_t>(u)];
-    const double cached = input_cache_alt_[k];
-    if (std::fabs(v - cached) >
-        bypass_abstol_ + bypass_reltol_ * std::fabs(cached)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void MnaSystem::PromoteCacheToAlt(size_t index) {
-  const DeviceSpan& span = spans_[index];
-  for (uint32_t k = span.mat_begin; k < span.mat_end; ++k) {
-    mat_vals_alt_[k] = mat_vals_[k];
-  }
-  for (uint32_t k = span.rhs_begin; k < span.rhs_end; ++k) {
-    rhs_vals_alt_[k] = rhs_vals_[k];
-  }
-  for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    state_vals_alt_[k] = state_vals_[k];
-    state_input_vals_alt_[k] = state_input_vals_[k];
-  }
-  for (uint32_t k = input_cache_offset_[index];
-       k < input_cache_offset_[index + 1]; ++k) {
-    input_cache_alt_[k] = input_cache_[k];
-  }
-  cache_ctx_epoch_alt_[index] = cache_ctx_epoch_[index];
-  cache_dt_alt_[index] = cache_dt_[index];
-  cache_valid_alt_[index] = 1;
-}
-
-void MnaSystem::ReplayFromCache(const DeviceSpan& span, bool alt) {
-  const double* mv = alt ? mat_vals_alt_.data() : mat_vals_.data();
-  const double* rv = alt ? rhs_vals_alt_.data() : rhs_vals_.data();
-  const double* sv = alt ? state_vals_alt_.data() : state_vals_.data();
-  for (uint32_t k = span.mat_begin; k < span.mat_end; ++k) {
-    const MatrixWrite& e = mat_plan_[k];
-    const double v = mv[k];
-    if (e.key & kAssignBit) {
-      *e.target = v + plan_assign_bias_;
-    } else {
-      *e.target += v;
-    }
-  }
-  for (uint32_t k = span.rhs_begin; k < span.rhs_end; ++k) {
-    rhs_[static_cast<size_t>(rhs_plan_[k])] += rv[k];
-  }
-  for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    curr_states_[static_cast<size_t>(state_plan_[k])] = sv[k];
-  }
-  mat_cursor_ = span.mat_end;
-  rhs_cursor_ = span.rhs_end;
-  state_cursor_ = span.state_end;
-}
-
-void MnaSystem::CaptureCache(size_t index) {
-  const linalg::Vector& x = *iterate_;
-  const uint32_t begin = input_cache_offset_[index];
-  const uint32_t end = input_cache_offset_[index + 1];
-  for (uint32_t k = begin; k < end; ++k) {
-    const int32_t u = input_unknowns_[k];
-    input_cache_[k] = u < 0 ? 0.0 : x[static_cast<size_t>(u)];
-  }
-  const DeviceSpan& span = spans_[index];
-  for (uint32_t k = span.state_begin; k < span.state_end; ++k) {
-    const double prev = prev_states_[static_cast<size_t>(state_plan_[k])];
-    state_input_vals_[k] = prev;
-    if (std::fabs(prev) > state_scale_[k]) state_scale_[k] = std::fabs(prev);
-  }
-  cache_epoch_[index] = stamp_epoch_;
-  cache_ctx_epoch_[index] = ctx_epoch_;
-  cache_dt_[index] = dt_;
-  cache_valid_[index] = 1;
-}
-
 void MnaSystem::RotateStates() {
   prev_states_ = curr_states_;
-  ++stamp_epoch_;  // stateful device stamps depend on previous state
 }
 
 void MnaSystem::ResetCurrentStates() {
   curr_states_ = prev_states_;
-  ++stamp_epoch_;
 }
 
 double MnaSystem::V(NodeId n) const {
@@ -501,7 +250,6 @@ void MnaSystem::StampMatrix(int r, int c, double v) {
       return;
     }
 #endif
-    if (bypass_) mat_vals_[mat_cursor_] = v;
     ++mat_cursor_;
     if (e.key & kAssignBit) {
       // First touch of this slot: store instead of accumulating so replay
@@ -527,7 +275,6 @@ void MnaSystem::StampRhs(int r, double v) {
       plan_mismatch_ = true;  // includes the -1 sentinel past the end
       return;
     }
-    if (bypass_) rhs_vals_[rhs_cursor_] = v;
     ++rhs_cursor_;
     rhs_[static_cast<size_t>(r)] += v;
     return;
@@ -576,24 +323,6 @@ void MnaSystem::AddBranchRhs(const Device& dev, int slot, double value) {
   StampRhs(UnknownOfBranch(dev, slot), value);
 }
 
-linalg::Vector MnaSystem::MultiplyJacobian(const linalg::Vector& x) const {
-  linalg::Vector y;
-  MultiplyJacobian(x, &y);
-  return y;
-}
-
-void MnaSystem::MultiplyJacobian(const linalg::Vector& x,
-                                 linalg::Vector* y) const {
-  assert(static_cast<int>(x.size()) == num_unknowns_);
-  if (!sparse_) {
-    jacobian_.MultiplyInto(x, y);
-    return;
-  }
-  y->assign(static_cast<size_t>(num_unknowns_), 0.0);
-  sparse_jac_.ForEach(
-      [&](size_t r, size_t c, double v) { (*y)[r] += v * x[c]; });
-}
-
 double MnaSystem::PrevState(const Device& dev, int slot) const {
   const DeviceSlots& s = SlotsOf(dev);
   assert(s.state_offset >= 0 && slot < dev.num_states());
@@ -609,7 +338,6 @@ void MnaSystem::SetState(const Device& dev, int slot, double value) {
       plan_mismatch_ = true;  // includes the -1 sentinel past the end
       return;
     }
-    if (bypass_) state_vals_[state_cursor_] = value;
     ++state_cursor_;
     curr_states_[abs_slot] = value;
     return;

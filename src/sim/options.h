@@ -1,8 +1,6 @@
 // Solver option structs shared by DC and transient analyses.
 #pragma once
 
-#include <vector>
-
 #include "netlist/stamp_context.h"
 
 namespace cmldft::sim {
@@ -27,43 +25,6 @@ struct NewtonOptions {
   enum class Solver { kAuto, kDense, kSparse };
   Solver solver = Solver::kAuto;
 
-  // --- Newton fast path (opt-in; see docs/performance.md) ----------------
-  /// Device bypass: replay a device's cached stamp contributions when its
-  /// terminal voltages (and branch currents) moved less than
-  /// |dV| < bypass_abstol + bypass_reltol * |V| since they were cached.
-  /// Linear context-free devices (resistors, controlled sources) replay
-  /// bit-identically; nonlinear/dynamic devices introduce a model error
-  /// bounded by their conductance times the bypass tolerance, so solutions
-  /// are tolerance-equivalent (not bit-identical) to the exact path.
-  /// Default off; the stamp plan itself is always on and bit-exact.
-  bool bypass = false;
-  /// Bypass tolerances — kept one to two decades tighter than the Newton
-  /// convergence tolerances above so a bypassed solve still satisfies them.
-  double bypass_reltol = 1e-5;
-  double bypass_abstol = 1e-8;
-  /// Jacobian reuse (modified Newton): keep the LU factors from a previous
-  /// iteration while the step norm is contracting by at least
-  /// jacobian_reuse_rate per iteration, and apply them to the fresh
-  /// residual (x_next = x - J_old^-1 f(x)). Refactors immediately when the
-  /// contraction stalls or the reused step grows. Changes the iterate
-  /// trajectory (tolerance-equivalent solutions); default off.
-  bool jacobian_reuse = false;
-  /// Acceptance threshold for a stale-factor step. Kept well below the
-  /// nominal 0.5 "still contracting" bound: weakly-contracting stale steps
-  /// inflate the iteration count (modified Newton converges linearly) and,
-  /// far from the solution, can steer the iterate into regions where the
-  /// fresh Jacobian is singular. 0.25 measured robust and profitable on
-  /// CML buffer-chain transients; 0.5 loses money at ~70 unknowns and can
-  /// fail outright at ~130.
-  double jacobian_reuse_rate = 0.25;
-  /// Reuse is only attempted on dense systems with at least this many
-  /// unknowns: the attempt costs one mat-vec plus one triangular solve
-  /// (~2n^2 flops) against a saved factorization of ~n^3/3, so below this
-  /// size — and always in sparse mode, where a numeric-only Refactor
-  /// already costs about one triangular solve — the attempt cannot pay for
-  /// itself. Tests lower this to exercise reuse on small circuits.
-  int jacobian_reuse_min_unknowns = 64;
-
   // --- hierarchical solver (opt-in; see docs/performance.md Layer 6) -----
   /// Bordered-block-diagonal elimination over the netlist's cell-instance
   /// annotations (sim/hier.h): per-cell internal blocks are factored and
@@ -72,7 +33,7 @@ struct NewtonOptions {
   /// Same linear system as the flat solve in a different elimination
   /// order, so solutions are tolerance-equivalent (gated like dense ==
   /// sparse). Falls back to the flat path when the netlist carries no
-  /// usable cell annotations. Ignores bypass/jacobian_reuse; default off.
+  /// usable cell annotations. Default off.
   bool hierarchical = false;
   /// Factor-share quantum [relative units of the block entries]. 0 (the
   /// default) shares a factorization only between cells whose internal
@@ -112,13 +73,6 @@ struct TransientOptions {
   /// Grow dt by this factor when steps are comfortably small.
   double growth_factor = 1.5;
   DcOptions dc;                  ///< used for the t=0 operating point
-  /// Optional warm start for the t=0 operating point: node voltages
-  /// indexed by NodeId (entry 0 = ground, ignored). Nodes beyond the
-  /// vector's size (and all branch currents) seed at zero, so a guess
-  /// recorded on a fault-free netlist stays usable on a faulty copy whose
-  /// defect injection appended split nodes. Changes the DC iterate
-  /// trajectory only, not the converged-solution tolerance contract.
-  std::vector<double> initial_node_voltages;
 };
 
 }  // namespace cmldft::sim

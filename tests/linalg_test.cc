@@ -98,10 +98,10 @@ TEST(Lu, RhsDimensionMismatch) {
 }
 
 TEST(Lu, SolveMultiMatchesPerRhsSolveBitExact) {
-  // The batched screening engine solves every sharing variant's Newton
-  // update through one factorization; classifications stay bit-identical
-  // to the scalar engine only because each SolveMulti column reproduces
-  // the exact bits of a standalone Solve.
+  // The hierarchical solver eliminates every border column of a cell
+  // through one factorization (linalg/bbd); its solutions stay
+  // bit-identical at any thread count only because each SolveMulti
+  // column reproduces the exact bits of a standalone Solve.
   util::Rng rng(20260809);
   for (int n : {1, 2, 5, 17}) {
     Matrix a(static_cast<size_t>(n), static_cast<size_t>(n));

@@ -7,6 +7,7 @@
 // coverage converging to the final merged value.
 #include <gtest/gtest.h>
 #include <csignal>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -504,6 +505,27 @@ std::string HttpGet(uint16_t port, const std::string& path) {
   return split == std::string::npos ? "" : response.substr(split + 4);
 }
 
+/// Send raw request bytes, half-close, and return the whole response ("" on
+/// connection failure). The half-close gives the server an EOF, so a
+/// server that never answers cannot hang the test.
+std::string HttpRaw(uint16_t port, const std::string& request) {
+  auto fd = util::TcpConnect("127.0.0.1", port);
+  if (!fd.ok()) return "";
+  timeval timeout{10, 0};
+  ::setsockopt(*fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  if (!util::WriteAll(*fd, request.data(), request.size()).ok()) {
+    util::CloseFd(*fd);
+    return "";
+  }
+  ::shutdown(*fd, SHUT_WR);
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(*fd, buf, sizeof buf)) > 0) response.append(buf, n);
+  util::CloseFd(*fd);
+  return response;
+}
+
 /// SIGKILLs a pid on scope exit so a failing assertion cannot leak a
 /// scheduler child into the test runner.
 struct ChildReaper {
@@ -575,6 +597,52 @@ TEST(ServiceEndToEnd, HttpLiveCoverageConvergesToMergedValue) {
   EXPECT_TRUE(merge.complete());
   EXPECT_DOUBLE_EQ(last_coverage, merge.LiveCoverage());
   std::system(("rm -rf " + dir + "/state").c_str());
+}
+
+// The HTTP boundary reads bytes it does not control: a Content-Length that
+// would wrap the size arithmetic, one that is not a number, and a header
+// that never ends must each get a clean error status without unbounded
+// buffering, and the scheduler must keep serving afterwards.
+TEST(ServiceEndToEnd, HttpRejectsOversizedAndMalformedRequests) {
+  const std::string dir = TempPath("e2e_http_limits");
+  std::system(("rm -rf " + dir).c_str());
+  ASSERT_EQ(::mkdir(dir.c_str(), 0777), 0);
+  const std::string ports = dir + "/ports.json";
+  ASSERT_NE(std::system((std::string(SCHEDULER_BIN) + " --state-dir " + dir +
+                         "/state --port-file " + ports +
+                         " >/dev/null 2>&1 & echo $! > " + dir + "/sched.pid")
+                            .c_str()),
+            -1);
+  ChildReaper reaper;
+  uint16_t http = 0;
+  const double start = util::MonotonicSeconds();
+  while ((reaper.pid == 0 || http == 0) &&
+         util::MonotonicSeconds() - start < 30) {
+    reaper.pid = static_cast<pid_t>(
+        std::atol(ReadWholeFile(dir + "/sched.pid").c_str()));
+    http = PortFromFile(ports, "http_port");
+    if (http == 0) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_NE(http, 0) << "scheduler did not publish its ports";
+
+  auto status_line = [&](const std::string& request) {
+    const std::string response = HttpRaw(http, request);
+    return response.substr(0, response.find("\r\n"));
+  };
+  EXPECT_EQ(status_line("GET /campaigns HTTP/1.1\r\n"
+                        "Content-Length: 18446744073709551615\r\n\r\n"),
+            "HTTP/1.1 413 Payload Too Large");
+  EXPECT_EQ(status_line("GET /campaigns HTTP/1.1\r\n"
+                        "Content-Length: twelve\r\n\r\n"),
+            "HTTP/1.1 400 Bad Request");
+  EXPECT_EQ(status_line("GET /campaigns HTTP/1.1\r\nX-Pad: " +
+                        std::string(32 << 10, 'a')),
+            "HTTP/1.1 413 Payload Too Large");
+
+  auto doc = report::Json::Parse(HttpGet(http, "/campaigns"));
+  ASSERT_TRUE(doc.ok());
+  EXPECT_TRUE(doc->is_array());
+  std::system(("rm -rf " + dir).c_str());
 }
 
 #endif  // SCHEDULER_BIN && WORKER_BIN && ...

@@ -47,9 +47,9 @@ TEST(SparseLu, SolvesHandSystem) {
 }
 
 TEST(SparseLu, SolveMultiMatchesPerRhsSolveBitExact) {
-  // Mirrors the dense LU property: the batched engine's multi-RHS path
-  // must reproduce standalone Solve() bit-for-bit, including under the
-  // permuted elimination order a pivoted sparse factor uses.
+  // Mirrors the dense LU property: the multi-RHS path must reproduce
+  // standalone Solve() bit-for-bit, including under the permuted
+  // elimination order a pivoted sparse factor uses.
   util::Rng rng(20260809);
   for (int n : {2, 6, 23}) {
     SparseBuilder b(static_cast<size_t>(n));
