@@ -1,31 +1,22 @@
-// Characterization sweeps as first-class campaigns — the third payload on
-// the durable machinery, after defect screening and pattern coverage.
+// The characterization payload: corner × Monte-Carlo die sweeps of the
+// detector thresholds (core/characterize.h) — its record codec, its
+// presets and its entry in the payload table (payload.h).
 //
 // The universe is (corner × die): temperature × supply × vtest corners,
-// each evaluating the nominal die plus Monte-Carlo process draws
-// (core/characterize.h). Every unit is an independent pure function of
-// (config, unit_id), so shards are striped by `id % count`, results append
-// to the CRC-framed `.campaign` store, `kill -9` leaves a valid prefix
-// that --resume continues, and MergeCharacterizationStores recombines
-// shards into unit results bit-identical to a monolithic run — the same
-// contract the other payloads honor.
-//
-// A characterization store is distinguished by its record types
-// (kCharacterizationSuite / kCharacterizationUnit in codec.h). The suite
-// record — written first — carries the full configuration, so merge needs
-// no side-channel preset, and the header fingerprint
+// each evaluating the nominal die plus Monte-Carlo process draws. Every
+// unit is an independent pure function of (config, unit_id), so it runs
+// on the same durable shard runner and merge as the other payloads. The
+// suite record — the store's singleton — carries the full configuration,
+// so a merge needs no side-channel preset, and the header fingerprint
 // (core::CharacterizationFingerprint) cross-checks it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "campaign/codec.h"
-#include "campaign/planner.h"
-#include "campaign/runner.h"
+#include "campaign/payload.h"
 #include "core/characterize.h"
 #include "util/status.h"
 
@@ -49,70 +40,33 @@ struct DecodedCharacterizationRecord {
   core::CharacterizationUnitResult unit;
 };
 
-/// Rejects truncated payloads, trailing garbage, unknown types — and
-/// screening/pattern records, with a message pointing at the right path.
+/// Rejects truncated payloads, trailing garbage, and other record types.
 util::StatusOr<DecodedCharacterizationRecord> DecodeCharacterizationRecord(
     std::string_view payload);
 
-/// Peek at a store's first record to tell the campaign kinds apart
-/// (tools/campaign_merge dispatches on this). Errors on an unreadable or
-/// empty store.
-util::StatusOr<bool> StoreIsCharacterizationCampaign(const std::string& path);
+// ---- Presets, plan and merged view ----
 
-// ---- Shard execution ----
-
-struct CharacterizationCampaignOptions {
-  core::CharacterizationConfig config;
-  ShardPlan shard;
-  /// Path of this shard's `.campaign` result store.
-  std::string store_path;
-  /// Worker threads for unit evaluation (0 = auto, see util/parallel.h).
-  int threads = 0;
-  /// fsync after this many appended records (and always on completion).
-  int fsync_batch = 8;
-  /// Crash injection for tests/CI: SIGKILL this process the moment the
-  /// store would exceed this many bytes (0 = off). See util::AppendFile.
-  uint64_t abort_at_bytes = 0;
-  /// Print a rate-limited units-done/ETA line to stderr (campaign_run
-  /// --progress). Never affects stores or reports.
-  bool progress = false;
-};
-
-/// Run (or resume) one shard of a characterization sweep. Same contract as
-/// RunPatternCampaign: the store is created if absent; an existing store
-/// must match the current fingerprint/shard/universe.
-util::StatusOr<CampaignRunStats> RunCharacterizationCampaign(
-    const CharacterizationCampaignOptions& options);
-
-/// True for preset names the characterization path owns ("characterization"
-/// prefix) — tools/campaign_run dispatches on this.
-bool IsCharacterizationPreset(std::string_view name);
-
-/// Named presets shared by tools/campaign_run and the bench:
+/// Named presets shared by the campaign tools and the bench:
 ///   "characterization" — exactly the bench/characterization.cc grid, so a
 ///       merged campaign reproduces its golden byte-for-byte.
 ///   "characterization_quick" — a 2-corner grid for tests/CI smoke.
 util::StatusOr<core::CharacterizationConfig> CharacterizationPreset(
     std::string_view name);
 
-// ---- Recombination ----
+/// The "characterization" table entry.
+const Payload& CharacterizationPayload();
 
-struct CharacterizationMergeResult {
-  /// The configuration recovered from the suite record.
+/// Plan a typed configuration (validated: non-empty grid, positive steps).
+util::StatusOr<PayloadPlan> PlanCharacterization(
+    const core::CharacterizationConfig& config);
+
+/// The configuration and its unit results in universe order, decoded
+/// from a merged characterization campaign.
+struct MergedCharacterization {
   core::CharacterizationConfig config;
-  /// Unit results in universe order — bit-identical to a monolithic run.
   std::vector<core::CharacterizationUnitResult> units;
-  uint64_t fingerprint = 0;
-  uint64_t total_units = 0;
-  uint32_t shard_count = 0;
-  /// (shard index, unit records contributed), in input order.
-  std::vector<std::pair<uint32_t, uint64_t>> shard_units;
 };
-
-/// Merge one or more characterization shard stores. Every store must carry
-/// the same fingerprint, universe size, shard count, and bit-identical
-/// suite record; together they must cover every unit id exactly once.
-util::StatusOr<CharacterizationMergeResult> MergeCharacterizationStores(
-    const std::vector<std::string>& paths);
+util::StatusOr<MergedCharacterization> DecodeMergedCharacterization(
+    const MergedStores& merged);
 
 }  // namespace cmldft::campaign

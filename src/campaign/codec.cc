@@ -1,7 +1,9 @@
 #include "campaign/codec.h"
 
 #include "campaign/bytes.h"
+#include "campaign/runner.h"
 #include "util/hash.h"
+#include "util/strings.h"
 
 namespace cmldft::campaign {
 
@@ -93,21 +95,9 @@ util::StatusOr<DecodedRecord> DecodeRecord(std::string_view payload) {
       rec.outcome.supply_current = r.F64();
       break;
     }
-    case RecordType::kPatternSuite:
-    case RecordType::kPatternUnit:
-      return util::Status::FailedPrecondition(
-          "store holds pattern-coverage records, not defect-screening "
-          "records — merge it with the pattern campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
-    case RecordType::kCharacterizationSuite:
-    case RecordType::kCharacterizationUnit:
-      return util::Status::FailedPrecondition(
-          "store holds characterization records, not defect-screening "
-          "records — merge it with the characterization campaign path "
-          "(campaign_merge auto-detects; see docs/campaign.md)");
     default:
-      return util::Status::ParseError("unknown campaign record type " +
-                                      std::to_string(type));
+      return util::Status::ParseError("record type " + std::to_string(type) +
+                                      " is not a defect-screening record");
   }
   if (!r.ok()) {
     return util::Status::ParseError("truncated campaign record payload");
@@ -155,6 +145,144 @@ uint64_t CampaignFingerprint(const core::ScreeningOptions& options,
     h.F64(d.resistance);
   }
   return h.Digest();
+}
+
+util::StatusOr<PayloadPlan> PlanScreening(
+    const core::ScreeningOptions& options) {
+  const std::vector<defects::Defect> universe =
+      core::ScreeningUniverse(options);
+  PayloadPlan plan;
+  plan.payload = &ScreeningPayload();
+  plan.total_units = universe.size();
+  plan.fingerprint = CampaignFingerprint(options, universe);
+  plan.prepare = [options,
+                  total = plan.total_units]() -> util::StatusOr<PreparedUnits> {
+    auto pass = core::ScreeningPass::Prepare(options);
+    if (!pass.ok()) return pass.status();
+    if (pass->universe().size() != total) {
+      return util::Status::FailedPrecondition(
+          "universe size changed between planning and execution: planned " +
+          std::to_string(total) + ", enumerated " +
+          std::to_string(pass->universe().size()));
+    }
+    PreparedUnits prepared;
+    prepared.singleton = EncodeReferenceRecord(pass->reference());
+    prepared.evaluate = [pass = std::move(pass).value()](
+                            uint64_t id) -> util::StatusOr<std::string> {
+      auto outcome = pass.Evaluate(id);
+      if (!outcome.ok()) return outcome.status();
+      return EncodeOutcomeRecord(id, *outcome);
+    };
+    return prepared;
+  };
+  return plan;
+}
+
+util::StatusOr<core::ScreeningReport> MergedScreeningReport(
+    const MergedStores& merged) {
+  auto reference = DecodeRecord(merged.singleton);
+  if (!reference.ok()) return reference.status();
+  core::ScreeningReport report = std::move(reference->reference);
+  report.outcomes.reserve(merged.units.size());
+  for (const std::string& unit : merged.units) {
+    auto rec = DecodeRecord(unit);
+    if (!rec.ok()) return rec.status();
+    report.outcomes.push_back(std::move(rec->outcome));
+  }
+  return report;
+}
+
+namespace {
+
+util::StatusOr<RecordInfo> DecodeScreeningRecord(std::string_view record) {
+  auto rec = DecodeRecord(record);
+  if (!rec.ok()) return rec.status();
+  RecordInfo info;
+  info.singleton = rec->type == RecordType::kReference;
+  info.unit_id = rec->unit_id;
+  return info;
+}
+
+Tally TallyScreeningUnit(std::string_view unit_record) {
+  auto rec = DecodeRecord(unit_record);
+  if (!rec.ok()) return {};
+  // Detected by anything: the CombinedCoverage numerator.
+  const core::FaultClass c = rec->outcome.Classify();
+  const bool detected =
+      c != core::FaultClass::kNoEffect && c != core::FaultClass::kUnresolved;
+  return {detected ? 1u : 0u, 1};
+}
+
+// Coverage tallies are Exact-tolerance (recomputed from merged outcomes —
+// drift means classification changed), analog reference measurements
+// carry the tolerance classes coverage_comparison uses, and the
+// fingerprint is Exact so a silently different universe or configuration
+// cannot masquerade as the golden campaign.
+util::StatusOr<report::Report> ScreeningManifest(const MergedStores& merged) {
+  using report::Tol;
+  auto r = MergedScreeningReport(merged);
+  if (!r.ok()) return r.status();
+  report::Report rep(
+      "campaign_manifest",
+      "§6 (defect-universe coverage, recombined from campaign shards)",
+      "merged shard stores of a durable screening campaign");
+
+  rep.AddText("fingerprint",
+              util::StrPrintf("%016llx",
+                              static_cast<unsigned long long>(
+                                  merged.fingerprint)));
+  rep.AddInt("total_units", static_cast<long long>(merged.total_units));
+  rep.AddInt("shard_count", static_cast<long long>(merged.shard_count));
+
+  for (int c = 0; c < core::kNumFaultClasses; ++c) {
+    const auto fc = static_cast<core::FaultClass>(c);
+    rep.AddInt("class_" + std::string(core::FaultClassName(fc)),
+               r->CountClass(fc));
+  }
+  rep.AddScalar("conventional_coverage_pct", r->ConventionalCoverage() * 100,
+                "%", Tol::Exact());
+  rep.AddScalar("combined_coverage_pct", r->CombinedCoverage() * 100, "%",
+                Tol::Exact());
+
+  rep.AddScalar("nominal_swing", r->nominal_swing, "V", Tol::Abs(0.02));
+  rep.AddScalar("reference_delay_ps", r->reference_delay * 1e12, "ps",
+                Tol::Rel(0.1, 1.0));
+  rep.AddScalar("reference_detector_vout", r->reference_detector_vout, "V",
+                Tol::Abs(0.02));
+
+  // Per-store contribution: how the campaign was decomposed. Informational
+  // — the same universe merged from a different shard split is still the
+  // same campaign result.
+  report::Table& shards = rep.AddTable(
+      "shards", {{"shard", Tol::Info()}, {"outcomes", Tol::Info()}});
+  for (const auto& [index, count] : merged.shard_units) {
+    shards.NewRow().Int(index).Int(static_cast<long long>(count));
+  }
+  return rep;
+}
+
+util::StatusOr<PayloadPlan> PlanScreeningPreset(std::string_view preset) {
+  auto options = ScreeningPreset(preset);
+  if (!options.ok()) return options.status();
+  return PlanScreening(*options);
+}
+
+}  // namespace
+
+const Payload& ScreeningPayload() {
+  static const Payload payload{
+      "screening",
+      "defect-screening",
+      "fault-free reference",
+      {"coverage_comparison", "quick"},
+      RecordType::kReference,
+      RecordType::kOutcome,
+      &PlanScreeningPreset,
+      &DecodeScreeningRecord,
+      &TallyScreeningUnit,
+      &ScreeningManifest,
+  };
+  return payload;
 }
 
 }  // namespace cmldft::campaign

@@ -1,4 +1,5 @@
-// Binary serialization of screening results for the `.campaign` store.
+// The defect-screening payload (§6): its record codec and its entry in
+// the payload table (payload.h). Its presets are in runner.h.
 //
 // Records are self-describing payloads (first byte = record type) framed
 // by the store layer with a length prefix and CRC-32. The encoding is
@@ -13,29 +14,11 @@
 #include <string_view>
 #include <vector>
 
+#include "campaign/payload.h"
 #include "core/screening.h"
 #include "util/status.h"
 
 namespace cmldft::campaign {
-
-enum class RecordType : uint8_t {
-  /// Fault-free reference measurements (one per store, written first).
-  kReference = 1,
-  /// One completed defect outcome, keyed by its universe unit id.
-  kOutcome = 2,
-  /// Pattern-coverage sweep suite description (pattern_campaign.h; one per
-  /// store, written first). Tagged here so all `.campaign` record types
-  /// share one registry and a store of the wrong kind decodes to a clear
-  /// error instead of garbage.
-  kPatternSuite = 3,
-  /// One completed pattern-coverage sweep unit (pattern_campaign.h).
-  kPatternUnit = 4,
-  /// Characterization sweep suite description (characterize_campaign.h;
-  /// one per store, written first).
-  kCharacterizationSuite = 5,
-  /// One completed characterization unit (characterize_campaign.h).
-  kCharacterizationUnit = 6,
-};
 
 /// A parsed store record: `type` says which of the two payloads is live.
 struct DecodedRecord {
@@ -51,7 +34,7 @@ std::string EncodeReferenceRecord(const core::ScreeningReport& reference);
 std::string EncodeOutcomeRecord(uint64_t unit_id,
                                 const core::DefectOutcome& outcome);
 
-/// Rejects truncated payloads, trailing garbage, and unknown record types.
+/// Rejects truncated payloads, trailing garbage, and other record types.
 util::StatusOr<DecodedRecord> DecodeRecord(std::string_view payload);
 
 /// Stable digest of *what is being screened*: every ScreeningOptions field
@@ -61,5 +44,18 @@ util::StatusOr<DecodedRecord> DecodeRecord(std::string_view payload);
 /// refuse a store whose fingerprint does not match the current plan.
 uint64_t CampaignFingerprint(const core::ScreeningOptions& options,
                              const std::vector<defects::Defect>& universe);
+
+/// The "screening" table entry.
+const Payload& ScreeningPayload();
+
+/// Plan a typed screening configuration: enumerate the universe and
+/// fingerprint it (no simulation; `prepare` simulates the reference).
+util::StatusOr<PayloadPlan> PlanScreening(
+    const core::ScreeningOptions& options);
+
+/// The merged report of a screening campaign: reference measurements from
+/// the singleton, outcomes in universe order.
+util::StatusOr<core::ScreeningReport> MergedScreeningReport(
+    const MergedStores& merged);
 
 }  // namespace cmldft::campaign

@@ -1,34 +1,25 @@
 #include "campaign/merge.h"
 
-#include <optional>
-
-#include "campaign/characterize_campaign.h"
-#include "campaign/codec.h"
-#include "campaign/pattern_campaign.h"
 #include "campaign/store.h"
 #include "util/hash.h"
 #include "util/telemetry.h"
 
 namespace cmldft::campaign {
 
-util::StatusOr<MergeResult> MergeCampaignStores(
-    const std::vector<std::string>& paths) {
-  static const auto& merges = [] {
-    struct M {
-      util::telemetry::Counter c =
-          util::telemetry::GetCounter("campaign.merges");
-    } static const m;
-    return m;
-  }();
-  merges.c.Increment();
+util::StatusOr<MergedStores> MergeStores(
+    const Payload& payload, const std::vector<std::string>& paths) {
+  static const util::telemetry::Counter merges =
+      util::telemetry::GetCounter("campaign.merges");
+  merges.Increment();
 
   if (paths.empty()) {
     return util::Status::InvalidArgument("no campaign stores to merge");
   }
 
-  MergeResult out;
-  std::optional<std::string> reference_bytes;
-  std::vector<std::optional<core::DefectOutcome>> outcomes;
+  MergedStores out;
+  out.payload = &payload;
+  bool have_singleton = false;
+  std::vector<std::optional<std::string>> units;
 
   for (const std::string& path : paths) {
     auto scan = ScanStore(path);
@@ -42,7 +33,7 @@ util::StatusOr<MergeResult> MergeCampaignStores(
       out.fingerprint = scan->header.fingerprint;
       out.total_units = scan->header.total_units;
       out.shard_count = scan->header.shard_count;
-      outcomes.resize(out.total_units);
+      units.resize(out.total_units);
     } else if (scan->header.fingerprint != out.fingerprint ||
                scan->header.total_units != out.total_units ||
                scan->header.shard_count != out.shard_count) {
@@ -52,61 +43,61 @@ util::StatusOr<MergeResult> MergeCampaignStores(
           paths.front() + ")");
     }
 
-    uint64_t outcome_records = 0;
-    for (const std::string& payload : scan->records) {
-      auto rec = DecodeRecord(payload);
-      if (!rec.ok()) {
-        return util::Status(rec.status().code(),
-                            path + ": " + rec.status().message());
+    uint64_t unit_records = 0;
+    for (std::string& record : scan->records) {
+      auto info = DecodeRecordAs(payload, record);
+      if (!info.ok()) {
+        return util::Status(info.status().code(),
+                            path + ": " + info.status().message());
       }
-      if (rec->type == RecordType::kReference) {
-        if (reference_bytes.has_value() && *reference_bytes != payload) {
+      if (info->singleton) {
+        if (have_singleton && out.singleton != record) {
           return util::Status::FailedPrecondition(
-              path + ": reference measurements differ between shard stores; "
-                     "the shards were not produced by the same engine and "
-                     "configuration");
+              path + ": " + std::string(payload.singleton_name) +
+              " records differ between shard stores; the shards were not "
+              "produced by the same engine and configuration");
         }
-        if (!reference_bytes.has_value()) {
-          reference_bytes = payload;
-          out.report.nominal_swing = rec->reference.nominal_swing;
-          out.report.reference_delay = rec->reference.reference_delay;
-          out.report.reference_detector_vout =
-              rec->reference.reference_detector_vout;
-          out.report.reference_supply_current =
-              rec->reference.reference_supply_current;
-          out.report.reference_detector_vouts =
-              rec->reference.reference_detector_vouts;
+        if (info->fingerprint.has_value() &&
+            *info->fingerprint != out.fingerprint) {
+          return util::Status::FailedPrecondition(
+              path + ": " + std::string(payload.singleton_name) +
+              " record does not hash to the store header fingerprint — the "
+              "store is corrupt or the engines changed since the campaign "
+              "ran");
         }
+        have_singleton = true;
+        out.singleton = std::move(record);
         continue;
       }
-      if (rec->unit_id >= out.total_units) {
+      if (info->unit_id >= out.total_units) {
         return util::Status::FailedPrecondition(
-            path + ": record for unit " + std::to_string(rec->unit_id) +
+            path + ": record for unit " + std::to_string(info->unit_id) +
             " outside the universe of " + std::to_string(out.total_units));
       }
-      if (outcomes[rec->unit_id].has_value()) {
+      if (units[info->unit_id].has_value()) {
         return util::Status::FailedPrecondition(
-            path + ": unit " + std::to_string(rec->unit_id) +
+            path + ": unit " + std::to_string(info->unit_id) +
             " already provided by another record — overlapping or "
             "duplicated shard stores");
       }
-      outcomes[rec->unit_id] = std::move(rec->outcome);
-      ++outcome_records;
+      units[info->unit_id] = std::move(record);
+      ++unit_records;
     }
-    out.shard_outcomes.emplace_back(scan->header.shard_index, outcome_records);
+    out.shard_units.emplace_back(scan->header.shard_index, unit_records);
   }
 
-  if (!reference_bytes.has_value()) {
+  if (!have_singleton) {
     return util::Status::FailedPrecondition(
-        "no store carries the fault-free reference record");
+        "no store carries the " + std::string(payload.singleton_name) +
+        " record");
   }
 
-  // Completeness: recompute coverage strictly from what is present. A
-  // missing unit is a hard error, not a smaller denominator.
+  // Completeness: recompute from what is present. A missing unit is a
+  // hard error, not a smaller denominator.
   uint64_t missing = 0;
   uint64_t first_missing = 0;
   for (uint64_t id = 0; id < out.total_units; ++id) {
-    if (!outcomes[id].has_value()) {
+    if (!units[id].has_value()) {
       if (missing == 0) first_missing = id;
       ++missing;
     }
@@ -120,139 +111,83 @@ util::StatusOr<MergeResult> MergeCampaignStores(
         "merging");
   }
 
-  out.report.outcomes.reserve(out.total_units);
-  for (uint64_t id = 0; id < out.total_units; ++id) {
-    out.report.outcomes.push_back(std::move(*outcomes[id]));
+  out.units.reserve(out.total_units);
+  for (std::optional<std::string>& unit : units) {
+    out.units.push_back(std::move(*unit));
   }
+  return out;
+}
+
+util::StatusOr<const Payload*> StorePayload(const std::string& path) {
+  auto scan = ScanStore(path);
+  if (!scan.ok()) return scan.status();
+  if (scan->records.empty()) {
+    return util::Status::FailedPrecondition(
+        path + ": store has no records yet — its campaign kind is "
+               "undetermined; run (or resume) the shard first");
+  }
+  const uint8_t tag = static_cast<uint8_t>(scan->records.front()[0]);
+  const Payload* payload = PayloadForTag(tag);
+  if (payload == nullptr) {
+    return util::Status::ParseError(path + ": unknown campaign record type " +
+                                    std::to_string(tag));
+  }
+  return payload;
+}
+
+util::StatusOr<MergeResult> MergeCampaignStores(
+    const std::vector<std::string>& paths) {
+  auto merged = MergeStores(ScreeningPayload(), paths);
+  if (!merged.ok()) return merged.status();
+  auto report = MergedScreeningReport(*merged);
+  if (!report.ok()) return report.status();
+  MergeResult out;
+  out.report = std::move(*report);
+  out.fingerprint = merged->fingerprint;
+  out.total_units = merged->total_units;
+  out.shard_count = merged->shard_count;
+  out.shard_outcomes = std::move(merged->shard_units);
   return out;
 }
 
 // ------------------------------------------------ streaming merge --
 
-namespace {
-
-uint64_t PayloadHash(std::string_view payload) {
-  return util::ContentHasher().Str(payload).Digest();
-}
-
-bool IsSingletonType(RecordType t) {
-  return t == RecordType::kReference || t == RecordType::kPatternSuite ||
-         t == RecordType::kCharacterizationSuite;
-}
-
-}  // namespace
-
-StreamingMerge::StreamingMerge(uint64_t total_units)
-    : total_units_(total_units),
+StreamingMerge::StreamingMerge(const Payload& payload, uint64_t total_units)
+    : payload_(&payload),
+      total_units_(total_units),
       seen_(total_units, 0),
       unit_hash_(total_units, 0) {}
 
-util::StatusOr<bool> StreamingMerge::FoldSingleton(RecordType type,
-                                                   std::string_view payload) {
-  for (const auto& [t, bytes] : singletons_) {
-    if (t != type) continue;
-    if (bytes != payload) {
-      return util::Status::FailedPrecondition(
-          "singleton record (reference/suite) differs from the one already "
-          "folded: the contributing workers do not run the same engine and "
-          "configuration");
-    }
-    return false;  // bit-identical repeat
-  }
-  singletons_.emplace_back(type, std::string(payload));
-  return true;
-}
-
 util::StatusOr<StreamingMerge::FoldResult> StreamingMerge::Fold(
     std::string_view payload) {
-  if (payload.empty()) {
-    return util::Status::ParseError("empty record payload");
-  }
-  const auto type = static_cast<RecordType>(
-      static_cast<uint8_t>(payload[0]));
-
-  Kind kind;
-  switch (type) {
-    case RecordType::kReference:
-    case RecordType::kOutcome:
-      kind = Kind::kScreening;
-      break;
-    case RecordType::kPatternSuite:
-    case RecordType::kPatternUnit:
-      kind = Kind::kPattern;
-      break;
-    case RecordType::kCharacterizationSuite:
-    case RecordType::kCharacterizationUnit:
-      kind = Kind::kCharacterization;
-      break;
-    default:
-      return util::Status::ParseError(
-          "unknown campaign record type " +
-          std::to_string(static_cast<uint8_t>(payload[0])));
-  }
-  if (kind_ == Kind::kUnknown) {
-    kind_ = kind;
-  } else if (kind != kind_) {
-    return util::Status::FailedPrecondition(
-        "record belongs to a different campaign payload kind than the one "
-        "already folded — screening, pattern, and characterization records "
-        "cannot mix in one campaign");
-  }
+  auto info = DecodeRecordAs(*payload_, payload);
+  if (!info.ok()) return info.status();
 
   FoldResult result;
-  if (IsSingletonType(type)) {
-    auto first = FoldSingleton(type, payload);
-    if (!first.ok()) return first.status();
-    result.new_singleton = *first;
-    result.duplicate = !*first;
+  if (info->singleton) {
+    if (singleton_.has_value()) {
+      if (*singleton_ != payload) {
+        return util::Status::FailedPrecondition(
+            std::string(payload_->singleton_name) +
+            " record differs from the one already folded: the contributing "
+            "workers do not run the same engine and configuration");
+      }
+      result.duplicate = true;
+      return result;
+    }
+    singleton_ = std::string(payload);
+    result.new_singleton = true;
     return result;
   }
 
-  // Unit records: decode (validates the payload), dedup by id, tally.
-  uint64_t unit_id = 0;
-  switch (kind_) {
-    case Kind::kScreening: {
-      auto rec = DecodeRecord(payload);
-      if (!rec.ok()) return rec.status();
-      unit_id = rec->unit_id;
-      if (unit_id >= total_units_) break;
-      if (!seen_[unit_id]) {
-        ++class_counts_[static_cast<int>(rec->outcome.Classify())];
-      }
-      break;
-    }
-    case Kind::kPattern: {
-      auto rec = DecodePatternRecord(payload);
-      if (!rec.ok()) return rec.status();
-      unit_id = rec->unit_id;
-      if (unit_id >= total_units_) break;
-      if (!seen_[unit_id]) {
-        toggled_ += rec->unit.toggled;
-        togglable_ += rec->unit.togglable;
-      }
-      break;
-    }
-    case Kind::kCharacterization: {
-      auto rec = DecodeCharacterizationRecord(payload);
-      if (!rec.ok()) return rec.status();
-      unit_id = rec->unit_id;
-      if (unit_id >= total_units_) break;
-      if (!seen_[unit_id] && rec->unit.measure_failures == 0) {
-        ++clean_units_;
-      }
-      break;
-    }
-    case Kind::kUnknown:
-      return util::Status::Internal("unreachable: unlatched payload kind");
-  }
+  const uint64_t unit_id = info->unit_id;
   if (unit_id >= total_units_) {
     return util::Status::FailedPrecondition(
         "record for unit " + std::to_string(unit_id) +
         " outside the universe of " + std::to_string(total_units_));
   }
-
   result.unit_id = unit_id;
-  const uint64_t hash = PayloadHash(payload);
+  const uint64_t hash = util::ContentHasher().Str(payload).Digest();
   if (seen_[unit_id]) {
     if (unit_hash_[unit_id] != hash) {
       return util::Status::FailedPrecondition(
@@ -266,36 +201,16 @@ util::StatusOr<StreamingMerge::FoldResult> StreamingMerge::Fold(
   seen_[unit_id] = 1;
   unit_hash_[unit_id] = hash;
   ++units_done_;
+  const Tally t = payload_->tally(payload);
+  tally_.hits += t.hits;
+  tally_.weight += t.weight;
   result.new_unit = true;
   return result;
 }
 
 double StreamingMerge::LiveCoverage() const {
-  switch (kind_) {
-    case Kind::kScreening: {
-      if (units_done_ == 0) return 0.0;
-      // The CombinedCoverage formula over the outcomes folded so far: at
-      // completion the denominator is the full universe and the value is
-      // exactly the merged report's CombinedCoverage.
-      const uint64_t detected =
-          class_counts_[static_cast<int>(core::FaultClass::kLogicVisible)] +
-          class_counts_[static_cast<int>(core::FaultClass::kDelayVisible)] +
-          class_counts_[static_cast<int>(core::FaultClass::kIddqVisible)] +
-          class_counts_[static_cast<int>(core::FaultClass::kCatastrophic)] +
-          class_counts_[static_cast<int>(core::FaultClass::kAmplitudeOnly)];
-      return static_cast<double>(detected) / static_cast<double>(units_done_);
-    }
-    case Kind::kPattern:
-      if (togglable_ == 0) return 0.0;
-      return static_cast<double>(toggled_) / static_cast<double>(togglable_);
-    case Kind::kCharacterization:
-      if (units_done_ == 0) return 0.0;
-      return static_cast<double>(clean_units_) /
-             static_cast<double>(units_done_);
-    case Kind::kUnknown:
-      return 0.0;
-  }
-  return 0.0;
+  if (tally_.weight == 0) return 0.0;
+  return static_cast<double>(tally_.hits) / static_cast<double>(tally_.weight);
 }
 
 }  // namespace cmldft::campaign

@@ -1,27 +1,43 @@
-// Recombination: fold N shard stores back into one ScreeningReport that
-// is bit-identical to a monolithic, uninterrupted run.
+// Recombination: fold N shard stores of one payload back into the result
+// of a monolithic, uninterrupted run, bit for bit.
 //
 // Merge trusts nothing a header *claims* about completeness: coverage
 // totals are recomputed from the outcome records actually present, and
 // the merge fails loudly if any universe unit is missing (a truncated or
 // unfinished shard can therefore never silently inflate coverage) or
-// present twice (overlapping/duplicated stores). Reference measurements
-// must agree bit-for-bit across shards — they are re-derived
-// deterministically by every shard run, so any divergence means the
-// shards were produced by different engines or configurations.
+// present twice (overlapping/duplicated stores). Singleton records (the
+// screening reference, the suites) must agree bit-for-bit across shards —
+// they are re-derived deterministically by every shard run, so any
+// divergence means the shards were produced by different engines or
+// configurations.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "campaign/codec.h"
+#include "campaign/payload.h"
 #include "core/screening.h"
 #include "util/status.h"
 
 namespace cmldft::campaign {
 
+/// Merge one or more shard stores of `payload`. Every store must carry
+/// the same fingerprint, universe size, shard count and bit-identical
+/// singleton record; together they must cover every unit id exactly once.
+/// A record another payload owns is refused, naming that payload.
+util::StatusOr<MergedStores> MergeStores(const Payload& payload,
+                                         const std::vector<std::string>& paths);
+
+/// The payload a store belongs to, read off its first record's tag.
+/// Errors on an unreadable or empty store.
+util::StatusOr<const Payload*> StorePayload(const std::string& path);
+
+/// A merged screening campaign.
 struct MergeResult {
   /// Outcomes in universe order — bit-identical to a monolithic run.
   core::ScreeningReport report;
@@ -32,9 +48,7 @@ struct MergeResult {
   std::vector<std::pair<uint32_t, uint64_t>> shard_outcomes;
 };
 
-/// Merge one or more shard stores. Every store must carry the same
-/// fingerprint, universe size, and shard count; together they must cover
-/// every unit id exactly once.
+/// MergeStores over the screening payload, decoded into its report.
 util::StatusOr<MergeResult> MergeCampaignStores(
     const std::vector<std::string>& paths);
 
@@ -54,21 +68,20 @@ util::StatusOr<MergeResult> MergeCampaignStores(
 /// workers running different engine builds cannot contribute to one
 /// campaign.
 ///
-/// All three payloads fold through the one class; the payload kind is
-/// latched from the first record and later records of a different payload
-/// are refused. `LiveCoverage` is the payload's headline ratio over the
-/// units folded so far (screening: combined fault coverage; pattern:
-/// toggle coverage; characterization: fraction of corner x die units with
-/// every measurement clean). At completion it equals the value the final
-/// merged report derives from the same records.
+/// The payload is fixed at construction; a record another payload owns
+/// is refused. `LiveCoverage` is the payload's headline ratio (its Tally)
+/// over the units folded so far — screening: combined fault coverage;
+/// pattern: toggle coverage; characterization: fraction of corner x die
+/// units with every measurement clean. At completion it equals the value
+/// the final merged report derives from the same records.
 class StreamingMerge {
  public:
-  explicit StreamingMerge(uint64_t total_units);
+  StreamingMerge(const Payload& payload, uint64_t total_units);
 
   struct FoldResult {
     /// A unit not seen before was folded in.
     bool new_unit = false;
-    /// First delivery of a singleton record (reference/suite) type.
+    /// First delivery of the singleton record (reference/suite).
     bool new_singleton = false;
     /// Bit-identical re-delivery of an already-folded record; ignored.
     bool duplicate = false;
@@ -77,8 +90,8 @@ class StreamingMerge {
   };
 
   /// Fold one record payload (store framing already stripped). Refuses a
-  /// foreign payload kind, an out-of-universe unit id, and any duplicate
-  /// that is not bit-identical to the first delivery.
+  /// foreign payload's record, an out-of-universe unit id, and any
+  /// duplicate that is not bit-identical to the first delivery.
   util::StatusOr<FoldResult> Fold(std::string_view payload);
 
   uint64_t total_units() const { return total_units_; }
@@ -90,24 +103,15 @@ class StreamingMerge {
   double LiveCoverage() const;
 
  private:
-  enum class Kind { kUnknown, kScreening, kPattern, kCharacterization };
-
-  util::StatusOr<bool> FoldSingleton(RecordType type,
-                                     std::string_view payload);
-
+  const Payload* payload_;
   uint64_t total_units_;
   uint64_t units_done_ = 0;
-  Kind kind_ = Kind::kUnknown;
   /// Per-unit: 0 = unseen, 1 = seen (hash in unit_hash_).
   std::vector<uint8_t> seen_;
   std::vector<uint64_t> unit_hash_;
-  /// First-delivery bytes of each singleton record type, keyed by type.
-  std::vector<std::pair<RecordType, std::string>> singletons_;
-  // Live tallies, payload-specific (only the latched kind's are used).
-  uint64_t class_counts_[core::kNumFaultClasses] = {};
-  uint64_t toggled_ = 0;
-  uint64_t togglable_ = 0;
-  uint64_t clean_units_ = 0;
+  /// First delivery of the singleton record.
+  std::optional<std::string> singleton_;
+  Tally tally_;
 };
 
 }  // namespace cmldft::campaign

@@ -1,30 +1,20 @@
-// Pattern-coverage sweeps as first-class campaigns.
+// The pattern-coverage payload (§6.6): its record codec, its presets and
+// its entry in the payload table (payload.h).
 //
-// The coverage-vs-pattern-count question (testgen/pattern_sweep.h) runs
-// on the exact same durable machinery as defect screening: each sweep
-// unit is an independent pure function of (config, unit_id), so shards
-// are striped by `id % count`, results append to the CRC-framed
-// `.campaign` store, `kill -9` leaves a valid prefix that --resume
-// continues, and MergePatternStores recombines shards into unit results
-// bit-identical to a monolithic run — same contract, different payload.
-//
-// A pattern store is distinguished from a screening store by its record
-// types (kPatternSuite / kPatternUnit in codec.h). The suite record —
-// written first, like the screening reference record — carries the full
-// sweep configuration, so merge needs no side-channel preset: the store
-// says what was swept, and the header fingerprint (SweepFingerprint)
-// cross-checks it.
+// Each sweep unit (testgen/pattern_sweep.h) is an independent pure
+// function of (config, unit_id), so it runs on the same durable shard
+// runner and merge as defect screening. The suite record — the store's
+// singleton — carries the full sweep configuration, so a merge needs no
+// side-channel preset: the store says what was swept, and the header
+// fingerprint (testgen::SweepFingerprint) cross-checks it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "campaign/codec.h"
-#include "campaign/planner.h"
-#include "campaign/runner.h"
+#include "campaign/payload.h"
 #include "testgen/pattern_sweep.h"
 #include "util/status.h"
 
@@ -46,70 +36,32 @@ struct DecodedPatternRecord {
   testgen::SweepUnitResult unit;
 };
 
-/// Rejects truncated payloads, trailing garbage, unknown types — and
-/// screening records, with a message pointing at the screening path.
+/// Rejects truncated payloads, trailing garbage, and other record types.
 util::StatusOr<DecodedPatternRecord> DecodePatternRecord(
     std::string_view payload);
 
-/// Peek at a store's first record to tell the two campaign kinds apart
-/// (tools/campaign_merge dispatches on this). Errors on an unreadable or
-/// empty store.
-util::StatusOr<bool> StoreIsPatternCampaign(const std::string& path);
+// ---- Presets, plan and merged view ----
 
-// ---- Shard execution ----
-
-struct PatternCampaignOptions {
-  testgen::PatternSweepConfig sweep;
-  ShardPlan shard;
-  /// Path of this shard's `.campaign` result store.
-  std::string store_path;
-  /// Worker threads for unit evaluation (0 = auto, see util/parallel.h).
-  int threads = 0;
-  /// fsync after this many appended records (and always on completion).
-  int fsync_batch = 8;
-  /// Crash injection for tests/CI: SIGKILL this process the moment the
-  /// store would exceed this many bytes (0 = off). See util::AppendFile.
-  uint64_t abort_at_bytes = 0;
-  /// Print a rate-limited units-done/ETA line to stderr (campaign_run
-  /// --progress). Never affects stores or reports.
-  bool progress = false;
-};
-
-/// Run (or resume) one shard of a pattern-coverage sweep. Same contract
-/// as RunScreeningCampaign: the store is created if absent; an existing
-/// store must match the current fingerprint/shard/universe.
-util::StatusOr<CampaignRunStats> RunPatternCampaign(
-    const PatternCampaignOptions& options);
-
-/// True for preset names the pattern path owns ("pattern_" prefix) —
-/// tools/campaign_run dispatches on this.
-bool IsPatternPreset(std::string_view name);
-
-/// Named sweep presets shared by tools/campaign_run and the bench:
+/// Named sweep presets shared by the campaign tools and the bench:
 ///   "pattern_coverage" — exactly the bench/pattern_coverage.cc sweep, so
 ///       a merged campaign reproduces its golden byte-for-byte.
 ///   "pattern_quick" — a 2-benchmark, 2-rung ladder for CI smoke.
 util::StatusOr<testgen::PatternSweepConfig> PatternSweepPreset(
     std::string_view name);
 
-// ---- Recombination ----
+/// The "pattern" table entry.
+const Payload& PatternPayload();
 
-struct PatternMergeResult {
-  /// The sweep configuration recovered from the suite record.
+/// Plan a typed sweep (validated: benchmarks exist, ladder positive).
+util::StatusOr<PayloadPlan> PlanPatternSweep(
+    const testgen::PatternSweepConfig& sweep);
+
+/// The sweep and its unit results in universe order, decoded from a
+/// merged pattern campaign.
+struct MergedSweep {
   testgen::PatternSweepConfig sweep;
-  /// Unit results in universe order — bit-identical to a monolithic run.
   std::vector<testgen::SweepUnitResult> units;
-  uint64_t fingerprint = 0;
-  uint64_t total_units = 0;
-  uint32_t shard_count = 0;
-  /// (shard index, unit records contributed), in input order.
-  std::vector<std::pair<uint32_t, uint64_t>> shard_units;
 };
-
-/// Merge one or more pattern shard stores. Every store must carry the
-/// same fingerprint, universe size, shard count, and bit-identical suite
-/// record; together they must cover every unit id exactly once.
-util::StatusOr<PatternMergeResult> MergePatternStores(
-    const std::vector<std::string>& paths);
+util::StatusOr<MergedSweep> DecodeMergedSweep(const MergedStores& merged);
 
 }  // namespace cmldft::campaign

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "campaign/work.h"
 #include "cml/builder.h"
 #include "sim/dc.h"
 #include "sim/transient.h"
@@ -194,130 +193,145 @@ std::vector<defects::Defect> ScreeningUniverse(const ScreeningOptions& options) 
   return defects::EnumerateDefects(circ.nl, eopt);
 }
 
-util::StatusOr<ScreeningReport> ScreenBufferChain(
-    const ScreeningOptions& options, campaign::WorkSource* source,
-    campaign::Sink* sink) {
+struct ScreeningPass::State {
+  explicit State(const ScreeningOptions& opt)
+      : span(Metrics().wall), options(opt), circ(BuildInstrumentedChain(opt)) {}
+
+  /// core.screening.wall covers the pass, from Prepare to the last copy.
+  util::telemetry::ScopedTimer span;
+  ScreeningOptions options;
+  CmlTechnology tech;
+  Instrumented circ;
+  sim::TransientOptions topts;
+  double t0 = 0.0;
+  double t1 = 0.0;
+  Measured ref;
+  std::vector<defects::Defect> universe;
+  ScreeningReport reference;
+};
+
+util::StatusOr<ScreeningPass> ScreeningPass::Prepare(
+    const ScreeningOptions& options) {
   const ScreeningMetrics& metrics = Metrics();
   metrics.campaigns.Increment();
-  util::telemetry::ScopedTimer campaign_span(metrics.wall);
-  CmlTechnology tech;
-  Instrumented circ = BuildInstrumentedChain(options);
-  CMLDFT_RETURN_IF_ERROR(SetTestMode(circ.nl, /*test_mode=*/true,
+  auto state = std::make_shared<State>(options);
+  CMLDFT_RETURN_IF_ERROR(SetTestMode(state->circ.nl, /*test_mode=*/true,
                                      options.detector.vtest_test_mode,
-                                     tech.vgnd));
+                                     state->tech.vgnd));
 
-  sim::TransientOptions topts;
-  topts.tstop = options.sim_time;
-  topts.dc.newton.hierarchical = options.hierarchical;
-  topts.dc.newton.hier_share_quantum = options.hier_share_quantum;
-  const double t0 = options.sim_time * 0.5;
-  const double t1 = options.sim_time;
+  state->topts.tstop = options.sim_time;
+  state->t0 = options.sim_time * 0.5;
+  state->t1 = options.sim_time;
 
   util::StatusOr<sim::TransientResult> ref_run = [&] {
     util::telemetry::ScopedTimer ref_span(metrics.reference_wall);
-    return sim::RunTransient(circ.nl, topts);
+    return sim::RunTransient(state->circ.nl, state->topts);
   }();
   if (!ref_run.ok()) {
     return util::Status::Internal("fault-free reference failed to simulate: " +
                                   ref_run.status().message());
   }
-  const Measured ref = MeasureRun(*ref_run, circ, tech, t0, t1);
+  state->ref =
+      MeasureRun(*ref_run, state->circ, state->tech, state->t0, state->t1);
 
   // Enumerate over the *uninstrumented* device set: detectors and the
   // fault-injection artifacts are excluded.
   defects::EnumerationOptions eopt = options.enumeration;
   eopt.exclude_prefixes.push_back("det");
-  const std::vector<defects::Defect> universe =
-      defects::EnumerateDefects(circ.nl, eopt);
+  state->universe = defects::EnumerateDefects(state->circ.nl, eopt);
 
-  // Campaign seams: the source narrows the universe to this process's
-  // shard/resume subset; the sink makes each outcome durable as it lands.
-  // Unit ids are indices into the stable enumeration order above.
-  std::vector<uint64_t> selected;
-  selected.reserve(universe.size());
-  if (source != nullptr) {
-    CMLDFT_RETURN_IF_ERROR(source->BeginUniverse(universe.size()));
-    for (uint64_t id = 0; id < universe.size(); ++id) {
-      if (source->ShouldRun(id)) selected.push_back(id);
-    }
+  ScreeningReport& reference = state->reference;
+  reference.nominal_swing = state->ref.primary_swing;
+  reference.reference_delay = state->ref.median_delay;
+  reference.reference_detector_vout = state->ref.min_detector_vout;
+  reference.reference_supply_current = state->ref.supply_current;
+  reference.reference_detector_vouts = state->ref.detector_vouts;
+  return ScreeningPass(std::move(state));
+}
+
+const std::vector<defects::Defect>& ScreeningPass::universe() const {
+  return state_->universe;
+}
+
+const ScreeningReport& ScreeningPass::reference() const {
+  return state_->reference;
+}
+
+// Each defect run copies the netlist, injects its defect, and simulates a
+// private MnaSystem. The shared state is read-only, so any number of
+// Evaluate calls may run concurrently.
+util::StatusOr<DefectOutcome> ScreeningPass::Evaluate(uint64_t id) const {
+  const State& s = *state_;
+  const ScreeningOptions& options = s.options;
+  const ScreeningMetrics& metrics = Metrics();
+  if (id >= s.universe.size()) {
+    return util::Status::OutOfRange(
+        "defect " + std::to_string(id) + " outside the universe of " +
+        std::to_string(s.universe.size()));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  DefectOutcome outcome;
+  outcome.defect = s.universe[static_cast<size_t>(id)];
+  auto faulty = defects::WithDefect(s.circ.nl, outcome.defect);
+  if (!faulty.ok()) return faulty.status();
+  auto run = sim::RunTransient(*faulty, s.topts);
+  if (run.ok()) {
+    outcome.converged = true;
+    const Measured m = MeasureRun(*run, s.circ, s.tech, s.t0, s.t1);
+    outcome.logic_fail =
+        !m.toggling ||
+        m.primary_swing < options.logic_swing_fraction * s.ref.primary_swing ||
+        m.num_crossings * 2 < s.ref.num_crossings;
+    outcome.delay_fail = !outcome.logic_fail &&
+                         std::fabs(m.median_delay - s.ref.median_delay) >
+                             options.delay_threshold;
+    outcome.iddq_fail = std::fabs(m.supply_current - s.ref.supply_current) >
+                        options.iddq_fraction * s.ref.supply_current;
+    outcome.supply_current = m.supply_current;
+    outcome.amplitude_detected =
+        m.min_detector_vout < s.ref.min_detector_vout - options.detector_drop;
+    outcome.max_gate_amplitude = m.max_gate_amplitude;
+    outcome.min_detector_vout = m.min_detector_vout;
+    outcome.detector_vouts = m.detector_vouts;
   } else {
-    for (uint64_t id = 0; id < universe.size(); ++id) selected.push_back(id);
+    // Never drop a failed defect on the floor: keep the solver error, and
+    // probe the DC operating point to split "the defect destroyed the
+    // bias" (catastrophic, a real detection) from "the transient stalled"
+    // (unresolved, a simulator artifact that must not be credited as
+    // coverage).
+    outcome.error = run.status().ToString();
+    outcome.no_bias_point = !sim::SolveDc(*faulty, s.topts.dc).ok();
+    if (!outcome.no_bias_point) metrics.unresolved.Increment();
   }
+  const auto c = static_cast<size_t>(outcome.Classify());
+  metrics.defects_screened.Increment();
+  metrics.class_counts[c].Increment();
+  metrics.class_wall[c].RecordSeconds(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+  return outcome;
+}
 
-  ScreeningReport report;
-  report.nominal_swing = ref.primary_swing;
-  report.reference_delay = ref.median_delay;
-  report.reference_detector_vout = ref.min_detector_vout;
-  report.reference_supply_current = ref.supply_current;
-  report.reference_detector_vouts = ref.detector_vouts;
-
-  if (sink != nullptr) {
-    CMLDFT_RETURN_IF_ERROR(sink->EmitReference(report));
-  }
-
-  // Defect runs are embarrassingly parallel: each one copies the netlist,
-  // injects its defect, and simulates a private MnaSystem. The shared
-  // inputs (circ, ref, options) are read-only, and every worker writes
-  // only its own outcome slot, so the sweep is deterministic for any
-  // thread count.
-  std::vector<util::Status> inject_errors(selected.size(), util::Status::Ok());
-  std::vector<util::Status> sink_errors(selected.size(), util::Status::Ok());
+util::StatusOr<ScreeningReport> ScreenBufferChain(
+    const ScreeningOptions& options) {
+  auto pass = ScreeningPass::Prepare(options);
+  if (!pass.ok()) return pass.status();
+  ScreeningReport report = pass->reference();
+  // Every worker writes only its own outcome slot, so the sweep is
+  // deterministic for any thread count.
+  std::vector<util::Status> errors(pass->universe().size(), util::Status::Ok());
   report.outcomes = util::ParallelMap<DefectOutcome>(
-      selected.size(),
-      [&](size_t d) {
-        const auto start = std::chrono::steady_clock::now();
-        const uint64_t unit_id = selected[d];
-        DefectOutcome outcome;
-        outcome.defect = universe[static_cast<size_t>(unit_id)];
-        auto faulty = defects::WithDefect(circ.nl, outcome.defect);
-        if (!faulty.ok()) {
-          inject_errors[d] = faulty.status();
-          return outcome;
+      pass->universe().size(),
+      [&](size_t id) {
+        auto outcome = pass->Evaluate(id);
+        if (!outcome.ok()) {
+          errors[id] = outcome.status();
+          return DefectOutcome{};
         }
-        auto run = sim::RunTransient(*faulty, topts);
-        if (run.ok()) {
-          outcome.converged = true;
-          const Measured m = MeasureRun(*run, circ, tech, t0, t1);
-          outcome.logic_fail =
-              !m.toggling ||
-              m.primary_swing < options.logic_swing_fraction * ref.primary_swing ||
-              m.num_crossings * 2 < ref.num_crossings;
-          outcome.delay_fail = !outcome.logic_fail &&
-                               std::fabs(m.median_delay - ref.median_delay) >
-                                   options.delay_threshold;
-          outcome.iddq_fail = std::fabs(m.supply_current - ref.supply_current) >
-                              options.iddq_fraction * ref.supply_current;
-          outcome.supply_current = m.supply_current;
-          outcome.amplitude_detected =
-              m.min_detector_vout < ref.min_detector_vout - options.detector_drop;
-          outcome.max_gate_amplitude = m.max_gate_amplitude;
-          outcome.min_detector_vout = m.min_detector_vout;
-          outcome.detector_vouts = m.detector_vouts;
-        } else {
-          // Never drop a failed defect on the floor: keep the solver error,
-          // and probe the DC operating point to split "the defect destroyed
-          // the bias" (catastrophic, a real detection) from "the transient
-          // stalled" (unresolved, a simulator artifact that must not be
-          // credited as coverage).
-          outcome.error = run.status().ToString();
-          outcome.no_bias_point = !sim::SolveDc(*faulty, topts.dc).ok();
-          if (!outcome.no_bias_point) metrics.unresolved.Increment();
-        }
-        const auto c = static_cast<size_t>(outcome.Classify());
-        metrics.defects_screened.Increment();
-        metrics.class_counts[c].Increment();
-        metrics.class_wall[c].RecordSeconds(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count());
-        if (sink != nullptr) sink_errors[d] = sink->Emit(unit_id, outcome);
-        return outcome;
+        return std::move(*outcome);
       },
       options.threads);
-  for (const util::Status& st : inject_errors) {
-    if (!st.ok()) return st;
-  }
-  for (const util::Status& st : sink_errors) {
+  for (const util::Status& st : errors) {
     if (!st.ok()) return st;
   }
   return report;

@@ -6,18 +6,16 @@
 // by the amplitude detectors.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
 #include "defects/defect.h"
 #include "sim/options.h"
 #include "util/status.h"
-
-namespace cmldft::campaign {
-class WorkSource;
-class Sink;
-}  // namespace cmldft::campaign
 
 namespace cmldft::core {
 
@@ -65,15 +63,6 @@ struct ScreeningOptions {
   /// simulates an independent netlist copy, so classifications are
   /// bit-identical for any thread count.
   int threads = 0;
-  /// Hierarchical bordered-block-diagonal solver for the per-defect
-  /// simulations (sim/hier.h, docs/performance.md "Layer 6"). Solutions
-  /// are tolerance-equivalent to the flat path — default off so golden
-  /// waveforms stay byte-stable. Governs the per-defect simulations and
-  /// the fault-free reference.
-  bool hierarchical = false;
-  /// Factor-share quantization quantum for the hierarchical solver
-  /// (NewtonOptions::hier_share_quantum). 0 = exact byte matching.
-  double hier_share_quantum = 0.0;
 };
 
 struct DefectOutcome {
@@ -118,18 +107,35 @@ struct ScreeningReport {
   double CombinedCoverage() const;
 };
 
-/// Screen the defect universe of an instrumented buffer chain.
-///
-/// By default the whole universe runs in-process and the returned report
-/// is the complete result. A campaign run injects `source` to restrict
-/// execution to a shard/resume subset and `sink` to stream every outcome
-/// (and the fault-free reference) into a durable store as it completes;
-/// the returned report then holds only the units executed *here* — the
-/// campaign merge stage reassembles the full, bit-identical report from
-/// the stores. Either pointer may be null independently.
+/// One screening pass, prepared: the instrumented chain, its defect
+/// universe and the fault-free reference, simulated once. Every defect is
+/// then an independent pure function of its unit id (index into the
+/// stable universe order), so `Evaluate` may run on any subset, in any
+/// order, on any thread — each outcome is bit-identical to the same unit
+/// in a monolithic serial run. Copies share the prepared state.
+class ScreeningPass {
+ public:
+  /// Build the chain and simulate the fault-free reference.
+  static util::StatusOr<ScreeningPass> Prepare(const ScreeningOptions& options);
+
+  const std::vector<defects::Defect>& universe() const;
+  /// The reference measurements (outcomes empty).
+  const ScreeningReport& reference() const;
+  /// Inject and simulate defect `id`. Thread-safe.
+  util::StatusOr<DefectOutcome> Evaluate(uint64_t id) const;
+
+ private:
+  struct State;
+  explicit ScreeningPass(std::shared_ptr<const State> state)
+      : state_(std::move(state)) {}
+  std::shared_ptr<const State> state_;
+};
+
+/// Screen the whole defect universe of an instrumented buffer chain in
+/// this process: one ScreeningPass, every unit evaluated on
+/// `options.threads` workers.
 util::StatusOr<ScreeningReport> ScreenBufferChain(
-    const ScreeningOptions& options = {}, campaign::WorkSource* source = nullptr,
-    campaign::Sink* sink = nullptr);
+    const ScreeningOptions& options = {});
 
 /// The defect universe `ScreenBufferChain` would screen under `options`,
 /// in its stable execution order (unit id = index). Enumeration only — no

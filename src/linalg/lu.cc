@@ -13,10 +13,8 @@ const util::telemetry::Counter& DenseFactorCounter() {
       util::telemetry::GetCounter("linalg.dense_lu.factors");
   return c;
 }
-// Shared with SparseLu::SolveMulti (the registry keys metrics by name, so
-// both call sites resolve to one slot). The "sim." prefix matches where
-// the hierarchical solver — the multi-RHS consumer, through linalg/bbd —
-// lives.
+// The "sim." prefix matches where the hierarchical solver — the multi-RHS
+// consumer, through linalg/bbd — lives.
 const util::telemetry::Counter& MultiRhsCounter() {
   static const util::telemetry::Counter c =
       util::telemetry::GetCounter("sim.linalg.multi_rhs_solves");

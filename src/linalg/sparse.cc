@@ -22,12 +22,6 @@ const SparseLuMetrics& Metrics() {
   static const SparseLuMetrics m;
   return m;
 }
-// Same slot as the dense kernel's multi-RHS counter (name-keyed registry).
-const util::telemetry::Counter& MultiRhsCounter() {
-  static const util::telemetry::Counter c =
-      util::telemetry::GetCounter("sim.linalg.multi_rhs_solves");
-  return c;
-}
 // Register at load time so snapshots list these metrics even when no
 // sparse solve ran — the telemetry schema must not depend on code paths.
 [[maybe_unused]] const SparseLuMetrics& kEagerRegistration = Metrics();
@@ -291,42 +285,6 @@ util::StatusOr<Vector> SparseLu::Solve(const Vector& b) const {
     double acc = y[row_of_step_[k]];
     for (const Entry& e : upper_[k]) acc -= e.value * x[e.col];
     x[col_of_step_[k]] = acc / pivots_[k];
-  }
-  return x;
-}
-
-util::StatusOr<std::vector<Vector>> SparseLu::SolveMulti(
-    const std::vector<Vector>& b) const {
-  if (!factored_) {
-    return util::Status::FailedPrecondition("SolveMulti called before Factor");
-  }
-  for (const Vector& col : b) {
-    if (col.size() != n_) {
-      return util::Status::InvalidArgument("rhs dimension mismatch");
-    }
-  }
-  MultiRhsCounter().Increment();
-  const size_t k_cols = b.size();
-  std::vector<Vector> y = b;
-  // Forward elimination in pivot order: each multiplier list is read once
-  // and applied to every column. Per column this is the Solve() recurrence
-  // exactly, including the yk == 0 skip.
-  for (size_t k = 0; k < n_; ++k) {
-    for (size_t c = 0; c < k_cols; ++c) {
-      const double yk = y[c][row_of_step_[k]];
-      if (yk == 0.0) continue;
-      for (const Entry& e : lower_[k]) {
-        y[c][e.col] -= e.value * yk;  // e.col holds the target *row* index
-      }
-    }
-  }
-  std::vector<Vector> x(k_cols, Vector(n_, 0.0));
-  for (size_t k = n_; k-- > 0;) {
-    for (size_t c = 0; c < k_cols; ++c) {
-      double acc = y[c][row_of_step_[k]];
-      for (const Entry& e : upper_[k]) acc -= e.value * x[c][e.col];
-      x[c][col_of_step_[k]] = acc / pivots_[k];
-    }
   }
   return x;
 }

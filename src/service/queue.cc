@@ -33,17 +33,18 @@ util::Status EnsureDirectory(const std::string& path) {
 
 // ------------------------------------------------------------ Campaign --
 
-Campaign::Campaign(CampaignSpec spec, PayloadPlan plan, std::string store_path)
+Campaign::Campaign(CampaignSpec spec, campaign::PayloadPlan plan,
+                   std::string store_path)
     : spec_(std::move(spec)),
       plan_(std::move(plan)),
       store_path_(std::move(store_path)),
       leases_(plan_.total_units, spec_.chunk_units),
-      merge_(plan_.total_units) {}
+      merge_(*plan_.payload, plan_.total_units) {}
 
 util::StatusOr<std::unique_ptr<Campaign>> Campaign::Create(
     const CampaignSpec& spec, const std::string& store_path,
     int fsync_batch) {
-  auto plan = PlanForPreset(spec.preset);
+  auto plan = campaign::PlanPreset(spec.preset);
   if (!plan.ok()) return plan.status();
 
   campaign::StoreHeader header;
@@ -63,7 +64,7 @@ util::StatusOr<std::unique_ptr<Campaign>> Campaign::Create(
 util::StatusOr<std::unique_ptr<Campaign>> Campaign::Recover(
     const CampaignSpec& spec, const std::string& store_path,
     int fsync_batch) {
-  auto plan = PlanForPreset(spec.preset);
+  auto plan = campaign::PlanPreset(spec.preset);
   if (!plan.ok()) return plan.status();
 
   auto scan = campaign::ScanStore(store_path);

@@ -30,9 +30,9 @@
 #include <vector>
 
 #include "campaign/merge.h"
+#include "campaign/payload.h"
 #include "campaign/store.h"
 #include "service/lease.h"
-#include "service/payload.h"
 #include "util/status.h"
 
 namespace cmldft::service {
@@ -61,7 +61,7 @@ class Campaign {
       int fsync_batch);
 
   const CampaignSpec& spec() const { return spec_; }
-  const PayloadPlan& plan() const { return plan_; }
+  const campaign::PayloadPlan& plan() const { return plan_; }
   const std::string& store_path() const { return store_path_; }
   LeaseTable& leases() { return leases_; }
   const LeaseTable& leases() const { return leases_; }
@@ -93,10 +93,11 @@ class Campaign {
   void SetKillAtSize(uint64_t bytes);
 
  private:
-  Campaign(CampaignSpec spec, PayloadPlan plan, std::string store_path);
+  Campaign(CampaignSpec spec, campaign::PayloadPlan plan,
+           std::string store_path);
 
   CampaignSpec spec_;
-  PayloadPlan plan_;
+  campaign::PayloadPlan plan_;
   std::string store_path_;
   LeaseTable leases_;
   campaign::StreamingMerge merge_;

@@ -13,6 +13,7 @@
 
 #include "report/json.h"
 #include "util/clock.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 namespace cmldft::service {
@@ -66,8 +67,7 @@ report::Json CampaignSummaryJson(const Campaign& c) {
   obj.Set("id", report::Json::Int(static_cast<long long>(c.spec().id)));
   obj.Set("preset", report::Json::Str(c.spec().preset));
   obj.Set("priority", report::Json::Int(c.spec().priority));
-  obj.Set("payload",
-          report::Json::Str(std::string(PayloadKindName(c.plan().kind))));
+  obj.Set("payload", report::Json::Str(std::string(c.plan().payload->name)));
   obj.Set("total_units",
           report::Json::Int(static_cast<long long>(c.merge().total_units())));
   obj.Set("units_done",
@@ -370,19 +370,20 @@ void Scheduler::ProcessHttpRequest(Conn& conn) {
     if (line.rfind("content-length:", 0) == 0) {
       const size_t first = line.find_first_not_of(" \t", 15);
       const size_t last = line.find_last_not_of(" \t");
-      if (first == std::string::npos ||
-          line.find_first_not_of("0123456789", first) <= last) {
-        reject(400, "{\"error\":\"malformed Content-Length\"}");
+      auto length = util::ParseBoundedUint(
+          first == std::string::npos
+              ? std::string_view()
+              : std::string_view(line).substr(first, last - first + 1),
+          kMaxHttpBodyBytes);
+      if (!length.ok()) {
+        if (length.status().code() == util::StatusCode::kOutOfRange) {
+          reject(413, "{\"error\":\"request body too large\"}");
+        } else {
+          reject(400, "{\"error\":\"malformed Content-Length\"}");
+        }
         return;
       }
-      content_length = 0;
-      for (size_t k = first; k <= last; ++k) {
-        content_length = content_length * 10 + static_cast<size_t>(line[k] - '0');
-        if (content_length > kMaxHttpBodyBytes) {
-          reject(413, "{\"error\":\"request body too large\"}");
-          return;
-        }
-      }
+      content_length = static_cast<size_t>(*length);
     }
     line_start = line_end + 2;
   }

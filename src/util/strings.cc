@@ -61,6 +61,30 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+StatusOr<uint64_t> ParseBoundedUint(std::string_view s, uint64_t max) {
+  if (s.empty()) {
+    return Status::InvalidArgument("expected a non-negative integer, got ''");
+  }
+  uint64_t v = 0;
+  bool over = false;
+  for (char c : s) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument("expected a non-negative integer, got '" +
+                                     std::string(s) + "'");
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    // Keep scanning after overflow so a trailing non-digit still reads as
+    // malformed rather than out of range.
+    if (digit > max || v > (max - digit) / 10) over = true;
+    if (!over) v = v * 10 + digit;
+  }
+  if (over) {
+    return Status::OutOfRange("'" + std::string(s) + "' exceeds the maximum " +
+                              std::to_string(max));
+  }
+  return v;
+}
+
 StatusOr<double> ParseSpiceNumber(std::string_view s) {
   s = StripWhitespace(s);
   if (s.empty()) return Status::ParseError("empty number");

@@ -1,6 +1,7 @@
 // Small string utilities shared by the netlist parser and reporting code.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Recognized suffixes: t g meg k m u n p f (case-insensitive); trailing
 /// unit letters after the suffix are ignored ("4kohm" -> 4000).
 StatusOr<double> ParseSpiceNumber(std::string_view s);
+
+/// Parse a decimal unsigned integer in [0, max]: ASCII digits only — no
+/// sign, blanks, exponent or suffix — and overflow-safe. InvalidArgument
+/// for anything else, OutOfRange above `max`.
+StatusOr<uint64_t> ParseBoundedUint(std::string_view s, uint64_t max);
 
 /// printf-style formatting into std::string.
 std::string StrPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -11,10 +11,12 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/codec.h"
 #include "campaign/merge.h"
+#include "campaign/payload.h"
 #include "campaign/planner.h"
 #include "campaign/runner.h"
 #include "campaign/store.h"
@@ -338,6 +340,46 @@ TEST(Store, HeaderCorruptionIsAHardError) {
   std::remove(path.c_str());
 }
 
+// ----------------------------------------------------- payload table --
+
+TEST(PayloadTable, EveryPresetAndTagHasExactlyOneOwner) {
+  const auto& table = campaign::Payloads();
+  ASSERT_EQ(table.size(), 3u);
+  for (const campaign::Payload* p : table) {
+    for (const campaign::Payload* q : table) {
+      if (q != p) {
+        EXPECT_NE(q->name, p->name);
+      }
+    }
+    EXPECT_NE(p->singleton_type, p->unit_type) << p->name;
+    for (std::string_view preset : p->presets) {
+      int owners = 0;
+      for (const campaign::Payload* q : table) {
+        for (std::string_view other : q->presets) owners += other == preset;
+      }
+      EXPECT_EQ(owners, 1) << preset;
+      EXPECT_EQ(campaign::PayloadForPreset(preset), p) << preset;
+    }
+  }
+  // Every byte value: at most one owner, and each registered tag has one.
+  for (int tag = 0; tag < 256; ++tag) {
+    int owners = 0;
+    for (const campaign::Payload* p : table) {
+      owners += tag == static_cast<int>(p->singleton_type);
+      owners += tag == static_cast<int>(p->unit_type);
+    }
+    EXPECT_LE(owners, 1) << "tag " << tag;
+    const campaign::Payload* owner =
+        campaign::PayloadForTag(static_cast<uint8_t>(tag));
+    EXPECT_EQ(owner != nullptr, owners == 1) << "tag " << tag;
+  }
+  EXPECT_EQ(campaign::PayloadForPreset("no_such_preset"), nullptr);
+  auto unknown = campaign::PlanPreset("no_such_preset");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("pattern_quick"),
+            std::string::npos);
+}
+
 // ------------------------------------------------- campaign end-to-end --
 
 TEST(Campaign, SingleShardMatchesDirectRunBitIdentically) {
@@ -626,6 +668,47 @@ TEST(Campaign, SigkilledChildResumesBitIdentically) {
 }
 
 #endif  // CAMPAIGN_RUN_BIN
+
+#ifdef CAMPAIGN_MERGE_BIN
+
+TEST(CampaignMergeCli, CoverageReportNeedsARegisteredScreeningPreset) {
+  const std::string path = TempPath("cover.campaign");
+  const std::string report = TempPath("cover.json");
+  std::remove(path.c_str());
+  campaign::CampaignOptions opt;
+  opt.screening = QuickOptions(2);
+  opt.store_path = path;
+  ASSERT_TRUE(campaign::RunScreeningCampaign(opt).ok());
+  const std::string merge = std::string(CAMPAIGN_MERGE_BIN) +
+                            " --coverage-report " + report + " " + path +
+                            " >/dev/null 2>&1";
+  // The quick store's fingerprint picks the quick preset's thresholds.
+  EXPECT_EQ(std::system(merge.c_str()), 0);
+
+  // Same records under a fingerprint no preset has: merging still works,
+  // the coverage report is refused.
+  auto scan = campaign::ScanStore(path);
+  ASSERT_TRUE(scan.ok());
+  campaign::StoreHeader header = scan->header;
+  header.fingerprint ^= 1;
+  auto wr = campaign::StoreWriter::Create(path, header);
+  ASSERT_TRUE(wr.ok());
+  for (const std::string& record : scan->records) {
+    ASSERT_TRUE(wr->AppendRecord(record).ok());
+  }
+  ASSERT_TRUE(wr->Close().ok());
+  const int refused = std::system(merge.c_str());
+  ASSERT_TRUE(WIFEXITED(refused));
+  EXPECT_EQ(WEXITSTATUS(refused), 1);
+  EXPECT_EQ(std::system((std::string(CAMPAIGN_MERGE_BIN) + " " + path +
+                         " >/dev/null 2>&1")
+                            .c_str()),
+            0);
+  std::remove(path.c_str());
+  std::remove(report.c_str());
+}
+
+#endif  // CAMPAIGN_MERGE_BIN
 
 }  // namespace
 }  // namespace cmldft

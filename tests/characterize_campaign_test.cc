@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "campaign/characterize_campaign.h"
-#include "campaign/manifest.h"
 #include "campaign/merge.h"
 #include "campaign/pattern_campaign.h"
 #include "campaign/runner.h"
@@ -133,11 +132,13 @@ TEST(CharacterizationCodec, RejectsTruncationAndTrailingBytes) {
 }
 
 TEST(CharacterizationCodec, ForeignRecordsRefusedWithPointer) {
-  // Records of the other two payloads fed to the characterization decoder
-  // fail FailedPrecondition with a message that names the right path — and
-  // symmetrically, a characterization record through the other decoders.
+  // Records of the other two payloads decoded as characterization records
+  // fail FailedPrecondition, through the payload table's tag dispatch, with
+  // a message that names the right path — and symmetrically, a
+  // characterization record decoded as either other payload.
   core::ScreeningReport reference;
-  auto st = campaign::DecodeCharacterizationRecord(
+  auto st = campaign::DecodeRecordAs(
+      campaign::CharacterizationPayload(),
       campaign::EncodeReferenceRecord(reference));
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.status().code(), util::StatusCode::kFailedPrecondition);
@@ -147,7 +148,8 @@ TEST(CharacterizationCodec, ForeignRecordsRefusedWithPointer) {
   testgen::PatternSweepConfig sweep;
   sweep.benchmarks = {"counter4"};
   sweep.pattern_counts = {8};
-  auto st2 = campaign::DecodeCharacterizationRecord(
+  auto st2 = campaign::DecodeRecordAs(
+      campaign::CharacterizationPayload(),
       campaign::EncodePatternSuiteRecord(sweep));
   ASSERT_FALSE(st2.ok());
   EXPECT_EQ(st2.status().code(), util::StatusCode::kFailedPrecondition);
@@ -156,12 +158,12 @@ TEST(CharacterizationCodec, ForeignRecordsRefusedWithPointer) {
 
   const std::string suite =
       campaign::EncodeCharacterizationSuiteRecord(QuickConfig());
-  auto st3 = campaign::DecodeRecord(suite);
+  auto st3 = campaign::DecodeRecordAs(campaign::ScreeningPayload(), suite);
   ASSERT_FALSE(st3.ok());
   EXPECT_EQ(st3.status().code(), util::StatusCode::kFailedPrecondition);
   EXPECT_NE(st3.status().message().find("characterization"),
             std::string::npos);
-  auto st4 = campaign::DecodePatternRecord(suite);
+  auto st4 = campaign::DecodeRecordAs(campaign::PatternPayload(), suite);
   ASSERT_FALSE(st4.ok());
   EXPECT_EQ(st4.status().code(), util::StatusCode::kFailedPrecondition);
   EXPECT_NE(st4.status().message().find("characterization"),
@@ -236,17 +238,27 @@ TEST(CharacterizationStatistics, ZeroBetaSpreadKeepsLegacyStream) {
 
 // -------------------------------------------------------- shard/merge ------
 
+/// The generic merge over the characterization payload, decoded.
+util::StatusOr<campaign::MergedCharacterization> MergeCharacterization(
+    const std::vector<std::string>& paths) {
+  auto stores =
+      campaign::MergeStores(campaign::CharacterizationPayload(), paths);
+  if (!stores.ok()) return stores.status();
+  return campaign::DecodeMergedCharacterization(*stores);
+}
+
 void RunShards(const CharacterizationConfig& config,
                const std::vector<std::string>& paths, int threads) {
+  auto plan = campaign::PlanCharacterization(config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   for (size_t i = 0; i < paths.size(); ++i) {
     std::remove(paths[i].c_str());
-    campaign::CharacterizationCampaignOptions opt;
-    opt.config = config;
+    campaign::RunOptions opt;
     opt.shard = {static_cast<uint32_t>(i),
                  static_cast<uint32_t>(paths.size())};
     opt.store_path = paths[i];
     opt.threads = threads;
-    auto stats = campaign::RunCharacterizationCampaign(opt);
+    auto stats = campaign::RunShard(*plan, opt);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->total_units, config.unit_count());
     EXPECT_EQ(stats->executed, opt.shard.UnitsOf(config.unit_count()));
@@ -262,10 +274,13 @@ TEST(CharacterizationCampaign, ThreeShardsMergeBitIdenticallyAtOddThreads) {
   // records land in completion order, but merge keys on unit ids.
   for (int threads : {1, 3, 5}) {
     RunShards(config, paths, threads);
-    auto merged = campaign::MergeCharacterizationStores(paths);
+    auto stores =
+        campaign::MergeStores(campaign::CharacterizationPayload(), paths);
+    ASSERT_TRUE(stores.ok()) << stores.status().ToString();
+    EXPECT_EQ(stores->total_units, config.unit_count());
+    EXPECT_EQ(stores->shard_count, 3u);
+    auto merged = campaign::DecodeMergedCharacterization(*stores);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(merged->total_units, config.unit_count());
-    EXPECT_EQ(merged->shard_count, 3u);
     ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
     for (size_t i = 0; i < merged->units.size(); ++i) {
       EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
@@ -282,7 +297,10 @@ TEST(CharacterizationCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   const std::vector<std::string> paths = {TempPath("r0.campaign"),
                                           TempPath("r1.campaign")};
   RunShards(config, paths, 2);
-  auto merged = campaign::MergeCharacterizationStores(paths);
+  auto stores =
+      campaign::MergeStores(campaign::CharacterizationPayload(), paths);
+  ASSERT_TRUE(stores.ok()) << stores.status().ToString();
+  auto merged = campaign::DecodeMergedCharacterization(*stores);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
   report::Report from_merge(core::kCharacterizationExperiment,
@@ -295,9 +313,9 @@ TEST(CharacterizationCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   core::FillCharacterizationReport(config, DirectQuickUnits(), from_direct);
   EXPECT_EQ(from_merge.ToJson().Dump(), from_direct.ToJson().Dump());
 
-  const report::Report manifest =
-      campaign::BuildCharacterizationCampaignManifest(*merged);
-  EXPECT_EQ(manifest.experiment(), "characterization_campaign_manifest");
+  auto manifest = campaign::CharacterizationPayload().manifest(*stores);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->experiment(), "characterization_campaign_manifest");
   for (const auto& p : paths) std::remove(p.c_str());
 }
 
@@ -320,14 +338,14 @@ TEST(CharacterizationCampaign, TruncatedStoreResumesToSameResult) {
       util::Status st = util::TruncateFile(path, at);
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
-    campaign::CharacterizationCampaignOptions opt;
-    opt.config = config;
+    campaign::RunOptions opt;
     opt.store_path = path;
-    auto stats = campaign::RunCharacterizationCampaign(opt);
+    auto stats =
+        campaign::RunShard(*campaign::PlanCharacterization(config), opt);
     ASSERT_TRUE(stats.ok()) << "cut at " << at << ": "
                             << stats.status().ToString();
     EXPECT_TRUE(stats->resumed);
-    auto merged = campaign::MergeCharacterizationStores({path});
+    auto merged = MergeCharacterization({path});
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     for (size_t i = 0; i < merged->units.size(); ++i) {
       EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
@@ -346,18 +364,18 @@ TEST(CharacterizationCampaign, RefusesForeignAndMismatchedStores) {
   // Same store, different corner grid: the fingerprint must refuse the
   // resume (a drifted grid silently reusing old units would corrupt the
   // yield surface).
-  campaign::CharacterizationCampaignOptions opt;
-  opt.config = config;
-  opt.config.vtests.push_back(3.9);
+  CharacterizationConfig other = config;
+  other.vtests.push_back(3.9);
+  campaign::RunOptions opt;
   opt.store_path = path;
-  auto stats = campaign::RunCharacterizationCampaign(opt);
+  auto stats = campaign::RunShard(*campaign::PlanCharacterization(other), opt);
   ASSERT_FALSE(stats.ok());
   EXPECT_NE(stats.status().message().find("fingerprint"), std::string::npos);
 
   // Perturbing only the variation seed must also change the fingerprint.
-  opt.config = config;
-  opt.config.seed ^= 1;
-  auto stats2 = campaign::RunCharacterizationCampaign(opt);
+  other = config;
+  other.seed ^= 1;
+  auto stats2 = campaign::RunShard(*campaign::PlanCharacterization(other), opt);
   ASSERT_FALSE(stats2.ok());
   EXPECT_NE(stats2.status().message().find("fingerprint"),
             std::string::npos);
@@ -368,15 +386,15 @@ TEST(CharacterizationCampaign, RefusesForeignAndMismatchedStores) {
   ASSERT_FALSE(screening_merge.ok());
   EXPECT_NE(screening_merge.status().message().find("characterization"),
             std::string::npos);
-  auto pattern_merge = campaign::MergePatternStores({path});
+  auto pattern_merge =
+      campaign::MergeStores(campaign::PatternPayload(), {path});
   ASSERT_FALSE(pattern_merge.ok());
   EXPECT_NE(pattern_merge.status().message().find("characterization"),
             std::string::npos);
-  auto is_characterization =
-      campaign::StoreIsCharacterizationCampaign(path);
+  auto is_characterization = campaign::StorePayload(path);
   ASSERT_TRUE(is_characterization.ok())
       << is_characterization.status().ToString();
-  EXPECT_TRUE(*is_characterization);
+  EXPECT_EQ(*is_characterization, &campaign::CharacterizationPayload());
 
   // And a screening store through the characterization merge, symmetrically.
   const std::string screening_path = TempPath("screening.campaign");
@@ -389,19 +407,17 @@ TEST(CharacterizationCampaign, RefusesForeignAndMismatchedStores) {
   sopt.store_path = screening_path;
   auto sstats = campaign::RunScreeningCampaign(sopt);
   ASSERT_TRUE(sstats.ok()) << sstats.status().ToString();
-  auto characterization_merge =
-      campaign::MergeCharacterizationStores({screening_path});
+  auto characterization_merge = MergeCharacterization({screening_path});
   ASSERT_FALSE(characterization_merge.ok());
   EXPECT_EQ(characterization_merge.status().code(),
             util::StatusCode::kFailedPrecondition);
   EXPECT_NE(
       characterization_merge.status().message().find("defect-screening"),
       std::string::npos);
-  auto is_characterization2 =
-      campaign::StoreIsCharacterizationCampaign(screening_path);
+  auto is_characterization2 = campaign::StorePayload(screening_path);
   ASSERT_TRUE(is_characterization2.ok())
       << is_characterization2.status().ToString();
-  EXPECT_FALSE(*is_characterization2);
+  EXPECT_NE(*is_characterization2, &campaign::CharacterizationPayload());
 
   std::remove(path.c_str());
   std::remove(screening_path.c_str());
@@ -413,11 +429,11 @@ TEST(CharacterizationCampaign, MergeRefusesIncompleteCoverage) {
                                           TempPath("i1.campaign")};
   RunShards(config, paths, 1);
   // Only shard 0: half the universe is missing.
-  auto merged = campaign::MergeCharacterizationStores({paths[0]});
+  auto merged = MergeCharacterization({paths[0]});
   ASSERT_FALSE(merged.ok());
   EXPECT_NE(merged.status().message().find("incomplete"), std::string::npos);
   // Shard 0 twice: duplicate units.
-  auto dup = campaign::MergeCharacterizationStores({paths[0], paths[0]});
+  auto dup = MergeCharacterization({paths[0], paths[0]});
   ASSERT_FALSE(dup.ok());
   for (const auto& p : paths) std::remove(p.c_str());
 }
@@ -454,10 +470,14 @@ TEST(CharacterizationCampaign, FingerprintPerturbationTripsTheGolden) {
 }
 
 TEST(CharacterizationCampaign, PresetValidation) {
-  EXPECT_TRUE(campaign::IsCharacterizationPreset("characterization"));
-  EXPECT_TRUE(campaign::IsCharacterizationPreset("characterization_quick"));
-  EXPECT_FALSE(campaign::IsCharacterizationPreset("quick"));
-  EXPECT_FALSE(campaign::IsCharacterizationPreset("pattern_quick"));
+  EXPECT_EQ(campaign::PayloadForPreset("characterization"),
+            &campaign::CharacterizationPayload());
+  EXPECT_EQ(campaign::PayloadForPreset("characterization_quick"),
+            &campaign::CharacterizationPayload());
+  EXPECT_NE(campaign::PayloadForPreset("quick"),
+            &campaign::CharacterizationPayload());
+  EXPECT_NE(campaign::PayloadForPreset("pattern_quick"),
+            &campaign::CharacterizationPayload());
   EXPECT_FALSE(campaign::CharacterizationPreset("characterization_nope").ok());
   auto full = campaign::CharacterizationPreset("characterization");
   ASSERT_TRUE(full.ok());
@@ -516,7 +536,7 @@ TEST(CharacterizationCampaign, SigkilledChildResumesBitIdentically) {
     EXPECT_EQ(*partial, at) << "torn write should stop at the kill point";
     ASSERT_EQ(RunChild(base + " --resume"), 0)
         << "resume after kill at " << at;
-    auto merged = campaign::MergeCharacterizationStores({path});
+    auto merged = MergeCharacterization({path});
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
     for (size_t i = 0; i < merged->units.size(); ++i) {

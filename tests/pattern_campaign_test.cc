@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/manifest.h"
 #include "campaign/merge.h"
 #include "campaign/pattern_campaign.h"
 #include "campaign/runner.h"
@@ -49,6 +48,14 @@ const std::vector<SweepUnitResult>& DirectQuickUnits() {
     return out;
   }();
   return units;
+}
+
+/// The generic merge over the pattern payload, decoded.
+util::StatusOr<campaign::MergedSweep> MergePattern(
+    const std::vector<std::string>& paths) {
+  auto stores = campaign::MergeStores(campaign::PatternPayload(), paths);
+  if (!stores.ok()) return stores.status();
+  return campaign::DecodeMergedSweep(*stores);
 }
 
 // ------------------------------------------------------------------ codec --
@@ -95,16 +102,17 @@ TEST(PatternCodec, RejectsTruncationAndTrailingBytes) {
 }
 
 TEST(PatternCodec, ScreeningRecordsRefusedWithPointer) {
-  // A screening record fed to the pattern decoder (and vice versa, in
-  // codec.cc) fails with a message that names the right path, not a
-  // generic parse error.
+  // A screening record fed to the pattern decoder (and vice versa) fails,
+  // through the payload table's tag dispatch, with a message that names
+  // the right path, not a generic parse error.
   core::ScreeningReport reference;
-  auto st = campaign::DecodePatternRecord(
-      campaign::EncodeReferenceRecord(reference));
+  auto st = campaign::DecodeRecordAs(
+      campaign::PatternPayload(), campaign::EncodeReferenceRecord(reference));
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.status().message().find("defect-screening"), std::string::npos);
 
-  auto st2 = campaign::DecodeRecord(
+  auto st2 = campaign::DecodeRecordAs(
+      campaign::ScreeningPayload(),
       campaign::EncodePatternSuiteRecord(QuickSweep()));
   ASSERT_FALSE(st2.ok());
   EXPECT_NE(st2.status().message().find("pattern-coverage"), std::string::npos);
@@ -114,14 +122,15 @@ TEST(PatternCodec, ScreeningRecordsRefusedWithPointer) {
 
 void RunShards(const PatternSweepConfig& sweep,
                const std::vector<std::string>& paths, int threads) {
+  auto plan = campaign::PlanPatternSweep(sweep);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   for (size_t i = 0; i < paths.size(); ++i) {
     std::remove(paths[i].c_str());
-    campaign::PatternCampaignOptions opt;
-    opt.sweep = sweep;
+    campaign::RunOptions opt;
     opt.shard = {static_cast<uint32_t>(i), static_cast<uint32_t>(paths.size())};
     opt.store_path = paths[i];
     opt.threads = threads;
-    auto stats = campaign::RunPatternCampaign(opt);
+    auto stats = campaign::RunShard(*plan, opt);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->total_units, sweep.unit_count());
     EXPECT_EQ(stats->executed, opt.shard.UnitsOf(sweep.unit_count()));
@@ -137,10 +146,12 @@ TEST(PatternCampaign, ThreeShardsMergeBitIdenticallyAtOddThreadCounts) {
   // records land in completion order, but merge keys on unit ids.
   for (int threads : {1, 3, 5}) {
     RunShards(sweep, paths, threads);
-    auto merged = campaign::MergePatternStores(paths);
+    auto stores = campaign::MergeStores(campaign::PatternPayload(), paths);
+    ASSERT_TRUE(stores.ok()) << stores.status().ToString();
+    EXPECT_EQ(stores->total_units, sweep.unit_count());
+    EXPECT_EQ(stores->shard_count, 3u);
+    auto merged = campaign::DecodeMergedSweep(*stores);
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(merged->total_units, sweep.unit_count());
-    EXPECT_EQ(merged->shard_count, 3u);
     ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
     for (size_t i = 0; i < merged->units.size(); ++i) {
       EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
@@ -157,7 +168,9 @@ TEST(PatternCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   const std::vector<std::string> paths = {TempPath("r0.campaign"),
                                           TempPath("r1.campaign")};
   RunShards(sweep, paths, 2);
-  auto merged = campaign::MergePatternStores(paths);
+  auto stores = campaign::MergeStores(campaign::PatternPayload(), paths);
+  ASSERT_TRUE(stores.ok()) << stores.status().ToString();
+  auto merged = campaign::DecodeMergedSweep(*stores);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
 
   report::Report from_merge(testgen::kPatternCoverageExperiment,
@@ -170,8 +183,9 @@ TEST(PatternCampaign, MergedReportJsonMatchesMonolithicAssembly) {
   testgen::FillPatternCoverageReport(sweep, DirectQuickUnits(), from_direct);
   EXPECT_EQ(from_merge.ToJson().Dump(), from_direct.ToJson().Dump());
 
-  const report::Report manifest = campaign::BuildPatternCampaignManifest(*merged);
-  EXPECT_EQ(manifest.experiment(), "pattern_campaign_manifest");
+  auto manifest = campaign::PatternPayload().manifest(*stores);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->experiment(), "pattern_campaign_manifest");
   for (const auto& p : paths) std::remove(p.c_str());
 }
 
@@ -194,14 +208,13 @@ TEST(PatternCampaign, TruncatedStoreResumesToSameResult) {
       util::Status st = util::TruncateFile(path, at);
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
-    campaign::PatternCampaignOptions opt;
-    opt.sweep = sweep;
+    campaign::RunOptions opt;
     opt.store_path = path;
-    auto stats = campaign::RunPatternCampaign(opt);
+    auto stats = campaign::RunShard(*campaign::PlanPatternSweep(sweep), opt);
     ASSERT_TRUE(stats.ok()) << "cut at " << at << ": "
                             << stats.status().ToString();
     EXPECT_TRUE(stats->resumed);
-    auto merged = campaign::MergePatternStores({path});
+    auto merged = MergePattern({path});
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     for (size_t i = 0; i < merged->units.size(); ++i) {
       EXPECT_TRUE(merged->units[i] == DirectQuickUnits()[i])
@@ -218,11 +231,11 @@ TEST(PatternCampaign, RefusesForeignAndMismatchedStores) {
   RunShards(sweep, paths, 1);
 
   // Same store, different sweep: the fingerprint must refuse the resume.
-  campaign::PatternCampaignOptions opt;
-  opt.sweep = sweep;
-  opt.sweep.seed ^= 1;
+  PatternSweepConfig other = sweep;
+  other.seed ^= 1;
+  campaign::RunOptions opt;
   opt.store_path = path;
-  auto stats = campaign::RunPatternCampaign(opt);
+  auto stats = campaign::RunShard(*campaign::PlanPatternSweep(other), opt);
   ASSERT_FALSE(stats.ok());
   EXPECT_NE(stats.status().message().find("fingerprint"), std::string::npos);
 
@@ -232,9 +245,9 @@ TEST(PatternCampaign, RefusesForeignAndMismatchedStores) {
   ASSERT_FALSE(screening_merge.ok());
   EXPECT_NE(screening_merge.status().message().find("pattern-coverage"),
             std::string::npos);
-  auto is_pattern = campaign::StoreIsPatternCampaign(path);
+  auto is_pattern = campaign::StorePayload(path);
   ASSERT_TRUE(is_pattern.ok()) << is_pattern.status().ToString();
-  EXPECT_TRUE(*is_pattern);
+  EXPECT_EQ(*is_pattern, &campaign::PatternPayload());
 
   // And a screening store through the pattern merge, symmetrically.
   const std::string screening_path = TempPath("screening.campaign");
@@ -247,13 +260,13 @@ TEST(PatternCampaign, RefusesForeignAndMismatchedStores) {
   sopt.store_path = screening_path;
   auto sstats = campaign::RunScreeningCampaign(sopt);
   ASSERT_TRUE(sstats.ok()) << sstats.status().ToString();
-  auto pattern_merge = campaign::MergePatternStores({screening_path});
+  auto pattern_merge = MergePattern({screening_path});
   ASSERT_FALSE(pattern_merge.ok());
   EXPECT_NE(pattern_merge.status().message().find("defect-screening"),
             std::string::npos);
-  auto is_pattern2 = campaign::StoreIsPatternCampaign(screening_path);
+  auto is_pattern2 = campaign::StorePayload(screening_path);
   ASSERT_TRUE(is_pattern2.ok()) << is_pattern2.status().ToString();
-  EXPECT_FALSE(*is_pattern2);
+  EXPECT_NE(*is_pattern2, &campaign::PatternPayload());
 
   std::remove(path.c_str());
   std::remove(screening_path.c_str());
@@ -265,20 +278,23 @@ TEST(PatternCampaign, MergeRefusesIncompleteCoverage) {
                                           TempPath("i1.campaign")};
   RunShards(sweep, paths, 1);
   // Only shard 0: half the universe is missing.
-  auto merged = campaign::MergePatternStores({paths[0]});
+  auto merged = MergePattern({paths[0]});
   ASSERT_FALSE(merged.ok());
   EXPECT_NE(merged.status().message().find("incomplete"), std::string::npos);
   // Shard 0 twice: duplicate units.
-  auto dup = campaign::MergePatternStores({paths[0], paths[0]});
+  auto dup = MergePattern({paths[0], paths[0]});
   ASSERT_FALSE(dup.ok());
   for (const auto& p : paths) std::remove(p.c_str());
 }
 
 TEST(PatternCampaign, PresetValidation) {
-  EXPECT_TRUE(campaign::IsPatternPreset("pattern_quick"));
-  EXPECT_TRUE(campaign::IsPatternPreset("pattern_coverage"));
-  EXPECT_FALSE(campaign::IsPatternPreset("quick"));
-  EXPECT_FALSE(campaign::IsPatternPreset("coverage_comparison"));
+  EXPECT_EQ(campaign::PayloadForPreset("pattern_quick"),
+            &campaign::PatternPayload());
+  EXPECT_EQ(campaign::PayloadForPreset("pattern_coverage"),
+            &campaign::PatternPayload());
+  EXPECT_NE(campaign::PayloadForPreset("quick"), &campaign::PatternPayload());
+  EXPECT_NE(campaign::PayloadForPreset("coverage_comparison"),
+            &campaign::PatternPayload());
   EXPECT_FALSE(campaign::PatternSweepPreset("pattern_nope").ok());
   auto full = campaign::PatternSweepPreset("pattern_coverage");
   ASSERT_TRUE(full.ok());
@@ -321,7 +337,7 @@ TEST(PatternCampaign, SigkilledChildResumesBitIdentically) {
     ASSERT_TRUE(partial.ok());
     EXPECT_EQ(*partial, at) << "torn write should stop at the kill point";
     ASSERT_EQ(RunChild(base + " --resume"), 0) << "resume after kill at " << at;
-    auto merged = campaign::MergePatternStores({path});
+    auto merged = MergePattern({path});
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     ASSERT_EQ(merged->units.size(), DirectQuickUnits().size());
     for (size_t i = 0; i < merged->units.size(); ++i) {

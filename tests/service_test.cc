@@ -23,10 +23,10 @@
 
 #include "campaign/merge.h"
 #include "campaign/pattern_campaign.h"
+#include "campaign/runner.h"
 #include "campaign/store.h"
 #include "report/json.h"
 #include "service/lease.h"
-#include "service/payload.h"
 #include "service/protocol.h"
 #include "service/queue.h"
 #include "util/clock.h"
@@ -222,31 +222,31 @@ TEST(ServiceLease, MarkUnitDoneRetiresChunksAndFiltersGrants) {
 // -------------------------------------------------- payload / merge --
 
 TEST(ServicePayload, PlansResolveAllThreePayloads) {
-  auto quick = service::PlanForPreset("quick");
-  auto pattern = service::PlanForPreset("pattern_quick");
-  auto character = service::PlanForPreset("characterization_quick");
+  auto quick = campaign::PlanPreset("quick");
+  auto pattern = campaign::PlanPreset("pattern_quick");
+  auto character = campaign::PlanPreset("characterization_quick");
   ASSERT_TRUE(quick.ok() && pattern.ok() && character.ok());
-  EXPECT_EQ(quick->kind, service::PayloadKind::kScreening);
-  EXPECT_EQ(pattern->kind, service::PayloadKind::kPattern);
-  EXPECT_EQ(character->kind, service::PayloadKind::kCharacterization);
+  EXPECT_EQ(quick->payload->name, "screening");
+  EXPECT_EQ(pattern->payload->name, "pattern");
+  EXPECT_EQ(character->payload->name, "characterization");
   EXPECT_EQ(quick->total_units, 62u);
   EXPECT_EQ(pattern->total_units, 4u);
   EXPECT_GT(character->total_units, 0u);
   // Screening's singleton (the reference) is simulated, not enumerated.
-  EXPECT_TRUE(quick->suite_record.empty());
-  EXPECT_FALSE(pattern->suite_record.empty());
+  EXPECT_TRUE(quick->singleton.empty());
+  EXPECT_FALSE(pattern->singleton.empty());
   EXPECT_NE(quick->fingerprint, pattern->fingerprint);
-  EXPECT_FALSE(service::PlanForPreset("no_such_preset").ok());
+  EXPECT_FALSE(campaign::PlanPreset("no_such_preset").ok());
 }
 
 TEST(ServiceMerge, StreamingFoldIsIdempotentAndRefusesTampering) {
-  auto plan = service::PlanForPreset("pattern_quick");
+  auto plan = campaign::PlanPreset("pattern_quick");
   ASSERT_TRUE(plan.ok());
-  auto records = service::EvaluateChunk(*plan, {0, 1, 2, 3}, /*threads=*/2);
+  auto records = campaign::EvaluateLease(*plan, {0, 1, 2, 3}, /*threads=*/2);
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_EQ(records->size(), 5u);  // suite + 4 units
 
-  campaign::StreamingMerge merge(plan->total_units);
+  campaign::StreamingMerge merge(*plan->payload, plan->total_units);
   uint64_t new_units = 0;
   for (const std::string& record : *records) {
     auto fold = merge.Fold(record);
@@ -274,9 +274,9 @@ TEST(ServiceMerge, StreamingFoldIsIdempotentAndRefusesTampering) {
   EXPECT_FALSE(merge.Fold(tampered).ok());
 
   // A foreign payload kind is refused outright.
-  auto screening = service::PlanForPreset("quick");
+  auto screening = campaign::PlanPreset("quick");
   ASSERT_TRUE(screening.ok());
-  auto other = service::EvaluateChunk(*screening, {0}, 1);
+  auto other = campaign::EvaluateLease(*screening, {0}, 1);
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(merge.Fold(other->front()).ok());
 }
@@ -332,9 +332,9 @@ TEST(ServiceQueue, SubmitRecoverAndPriorityOrder) {
 TEST(ServiceQueue, FoldedBatchesRecoverAfterReopen) {
   const std::string dir = TempPath("queue_fold_dir");
   std::system(("rm -rf " + dir).c_str());
-  auto plan = service::PlanForPreset("pattern_quick");
+  auto plan = campaign::PlanPreset("pattern_quick");
   ASSERT_TRUE(plan.ok());
-  auto records = service::EvaluateChunk(*plan, {0, 1}, 1);
+  auto records = campaign::EvaluateLease(*plan, {0, 1}, 1);
   ASSERT_TRUE(records.ok());
 
   {
@@ -571,6 +571,8 @@ TEST(ServiceEndToEnd, HttpLiveCoverageConvergesToMergedValue) {
       if (!body.empty()) {
         auto doc = report::Json::Parse(body);
         ASSERT_TRUE(doc.ok()) << body;
+        // The payload's table name, as the status API has always spelled it.
+        EXPECT_EQ(doc->GetString("payload"), "pattern");
         const double coverage = doc->GetNumber("live_coverage", -1);
         ASSERT_GE(coverage, last_coverage)
             << "live coverage must be monotone while units only accumulate";
@@ -590,7 +592,7 @@ TEST(ServiceEndToEnd, HttpLiveCoverageConvergesToMergedValue) {
   // the streaming merge's, exactly.
   auto scan = campaign::ScanStore(dir + "/state/campaign_1.campaign");
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  campaign::StreamingMerge merge(4);
+  campaign::StreamingMerge merge(campaign::PatternPayload(), 4);
   for (const std::string& record : scan->records) {
     ASSERT_TRUE(merge.Fold(record).ok());
   }

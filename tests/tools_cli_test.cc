@@ -110,31 +110,31 @@ TEST(CampaignRunCli, UsageErrors) {
       << r.stderr_text;
 }
 
-TEST(CampaignRunCli, HierFlagErrors) {
+TEST(CampaignRunCli, HierFlagIsGone) {
   const std::string bin = CAMPAIGN_RUN_BIN;
-  // --hier-quantum must be >= 0 and needs a value.
-  auto r = RunTool(bin + " --store /tmp/x.campaign --hier-quantum -1e-6");
+  auto r = RunTool(bin + " --store /tmp/x.campaign --hier");
   EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.stderr_text.find("--hier-quantum"), std::string::npos)
+  EXPECT_NE(r.stderr_text.find("unknown argument"), std::string::npos)
       << r.stderr_text;
-  EXPECT_EQ(
-      RunTool(bin + " --store /tmp/x.campaign --hier-quantum").exit_code, 2);
-  // The hierarchical solver only applies to defect-screening presets;
-  // pattern and characterization campaigns reject it loudly instead of
-  // silently running flat.
-  r = RunTool(bin +
-              " --store /tmp/x.campaign --preset pattern_quick --hier");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.stderr_text.find("screening presets"), std::string::npos)
-      << r.stderr_text;
-  EXPECT_EQ(RunTool(bin + " --store /tmp/x.campaign --preset "
-                          "characterization_quick --hier")
-                .exit_code,
-            2);
-  EXPECT_EQ(RunTool(bin + " --store /tmp/x.campaign --preset pattern_quick "
-                          "--hier-quantum 1e-9")
-                .exit_code,
-            2);
+}
+
+TEST(CampaignRunCli, IntegerFlagsAreStrict) {
+  // Each of these once ran anyway: "foo" disabled crash injection (a drill
+  // passing vacuously), "1e6" read as 1 and killed at the header, "two"
+  // ran as auto. All are usage errors now, before any store is touched.
+  const std::string bin = CAMPAIGN_RUN_BIN;
+  const std::string store = testing::TempDir() + "strict_flags.campaign";
+  std::remove(store.c_str());
+  for (const char* flags : {"--abort-after-bytes foo",
+                            "--abort-after-bytes 1e6", "--threads two",
+                            "--threads -1", "--fsync-batch ''"}) {
+    auto r = RunTool(bin + " --store " + store + " --preset pattern_quick " +
+                     flags);
+    EXPECT_EQ(r.exit_code, 2) << flags;
+    EXPECT_NE(r.stderr_text.find("integer"), std::string::npos)
+        << flags << ": " << r.stderr_text;
+  }
+  EXPECT_FALSE(std::ifstream(store).good());
 }
 
 TEST(CampaignRunCli, ExistingStoreNeedsResumeOrOverwrite) {
@@ -154,6 +154,11 @@ TEST(CampaignMergeCli, UsageAndMergeFailures) {
   EXPECT_EQ(RunTool(bin).exit_code, 2);              // no stores
   EXPECT_EQ(RunTool(bin + " --bogus x").exit_code, 2);
   EXPECT_EQ(RunTool(bin + " --manifest").exit_code, 2);
+  // The payload and its preset come from the store, never a flag.
+  auto removed = RunTool(bin + " --preset quick x.campaign");
+  EXPECT_EQ(removed.exit_code, 2);
+  EXPECT_NE(removed.stderr_text.find("unknown argument"), std::string::npos)
+      << removed.stderr_text;
 
   // A nonexistent store is a merge failure (1), with the path named.
   auto r = RunTool(bin + " /nonexistent/shard.campaign");

@@ -1,6 +1,7 @@
 // Unit tests for the util module: Status/StatusOr, string helpers, SPICE
 // number parsing, table rendering, RNG determinism, logging levels, units.
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -101,6 +102,35 @@ TEST(Strings, ParseSpiceNumberRejectsGarbage) {
   EXPECT_FALSE(ParseSpiceNumber("abc").ok());
   EXPECT_FALSE(ParseSpiceNumber("").ok());
   EXPECT_FALSE(ParseSpiceNumber("   ").ok());
+}
+
+TEST(Strings, ParseBoundedUintAcceptsDigitsUpToTheBound) {
+  EXPECT_EQ(*ParseBoundedUint("0", 10), 0u);
+  EXPECT_EQ(*ParseBoundedUint("007", 10), 7u);
+  EXPECT_EQ(*ParseBoundedUint("10", 10), 10u);
+  EXPECT_EQ(*ParseBoundedUint("18446744073709551615", UINT64_MAX),
+            UINT64_MAX);
+}
+
+TEST(Strings, ParseBoundedUintRejectsEverythingElse) {
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1e6", "0x10", "two",
+                          "4k", "1.0"}) {
+    auto v = ParseBoundedUint(bad, UINT64_MAX);
+    ASSERT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // One past UINT64_MAX must not wrap to 0.
+  auto wrapped = ParseBoundedUint("18446744073709551616", UINT64_MAX);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kOutOfRange);
+  auto over = ParseBoundedUint("11", 10);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
+  // A bound below one digit: no underflow in the overflow check.
+  EXPECT_EQ(ParseBoundedUint("7", 5).status().code(), StatusCode::kOutOfRange);
+  // Malformed beats out-of-range, whatever comes first.
+  EXPECT_EQ(ParseBoundedUint("99999999999999999999x", 10).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Strings, FormatEngineering) {

@@ -1,44 +1,44 @@
-// Merge completed campaign shard stores into the final screening report.
+// Merge completed campaign shard stores into the final report.
 //
 //   campaign_merge [--manifest <out.json>] [--coverage-report <out.json>]
-//                  [--preset NAME] <store.campaign> [more stores ...]
+//                  <store.campaign> [more stores ...]
 //
 // Verifies that the stores belong to one campaign (same fingerprint,
 // universe, shard plan), that every universe unit is present exactly once
 // (a truncated or unfinished shard is a hard error — coverage totals are
-// recomputed from the outcome records, never trusted from headers), and
-// that all shards agree bit-for-bit on the fault-free reference.
+// recomputed from the unit records, never trusted from headers), and
+// that all shards agree bit-for-bit on the singleton record.
 //
-// The campaign kind is auto-detected from the stores' record types:
-// defect-screening stores merge into the coverage_comparison report,
-// pattern-coverage stores (campaign/pattern_campaign.h) into the
-// pattern_coverage report, and characterization stores
-// (campaign/characterize_campaign.h) into the characterization report —
-// the suite record inside a pattern or characterization store carries its
-// own configuration, so --preset is screening-only.
+// The payload is read off the stores' record tags through the campaign-
+// payload table (campaign/payload.h), so no flag names it.
 //
 //   --manifest         write the campaign manifest JSON (golden-checkable)
 //   --coverage-report  write the bench report derived from the merged
-//                      records; byte-identical to the monolithic bench run
-//   --preset           screening preset the campaign ran (for the
-//                      coverage report's thresholds; default
-//                      coverage_comparison; ignored for pattern stores)
+//                      records; byte-identical to the monolithic bench run.
+//                      Pattern and characterization stores carry their
+//                      configuration in the suite record; a screening
+//                      store is matched to the registered screening preset
+//                      with the store's fingerprint.
 //
 // Exit codes: 0 = merged, 1 = merge refused (incomplete/corrupt/foreign
-// stores) or write failure, 2 = usage error.
+// stores), no preset for the coverage report, or write failure, 2 = usage
+// error.
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/paper_bench.h"
 #include "campaign/characterize_campaign.h"
-#include "campaign/manifest.h"
 #include "campaign/merge.h"
 #include "campaign/pattern_campaign.h"
 #include "campaign/runner.h"
 #include "report/json.h"
 #include "report/report.h"
 #include "testgen/pattern_sweep.h"
+#include "util/strings.h"
 
 using namespace cmldft;
 
@@ -47,9 +47,67 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--manifest <out.json>] [--coverage-report "
-               "<out.json>] [--preset NAME] <store.campaign> [more ...]\n",
+               "<out.json>] <store.campaign> [more ...]\n",
                argv0);
   return 2;
+}
+
+util::StatusOr<report::Report> ScreeningCoverage(
+    const campaign::MergedStores& merged) {
+  for (std::string_view preset : merged.payload->presets) {
+    auto plan = merged.payload->plan(preset);
+    if (!plan.ok() || plan->fingerprint != merged.fingerprint) continue;
+    auto report = campaign::MergedScreeningReport(merged);
+    if (!report.ok()) return report.status();
+    report::Report cover(bench::kCoverageComparisonExperiment,
+                         bench::kCoverageComparisonPaperRef,
+                         bench::kCoverageComparisonSummary);
+    bench::FillCoverageComparisonReport(
+        *report, campaign::ScreeningPreset(preset).value(), cover);
+    return cover;
+  }
+  return util::Status::FailedPrecondition(util::StrPrintf(
+      "no registered screening preset has the store fingerprint %016llx: "
+      "the coverage report needs the preset's thresholds",
+      static_cast<unsigned long long>(merged.fingerprint)));
+}
+
+util::StatusOr<report::Report> PatternCoverage(
+    const campaign::MergedStores& merged) {
+  auto m = campaign::DecodeMergedSweep(merged);
+  if (!m.ok()) return m.status();
+  report::Report cover(testgen::kPatternCoverageExperiment,
+                       testgen::kPatternCoveragePaperRef,
+                       testgen::kPatternCoverageSummary);
+  testgen::FillPatternCoverageReport(m->sweep, m->units, cover);
+  return cover;
+}
+
+util::StatusOr<report::Report> CharacterizationCoverage(
+    const campaign::MergedStores& merged) {
+  auto m = campaign::DecodeMergedCharacterization(merged);
+  if (!m.ok()) return m.status();
+  report::Report cover(core::kCharacterizationExperiment,
+                       core::kCharacterizationPaperRef,
+                       core::kCharacterizationSummary);
+  core::FillCharacterizationReport(m->config, m->units, cover);
+  return cover;
+}
+
+/// The bench report each payload's merged records reproduce. Kept here,
+/// not in the payload table: the screening fill lives in the paper-bench
+/// library, which the campaign library must not link.
+const std::map<std::string_view,
+               util::StatusOr<report::Report> (*)(
+                   const campaign::MergedStores&)>
+    kCoverageReports = {{"screening", &ScreeningCoverage},
+                        {"pattern", &PatternCoverage},
+                        {"characterization", &CharacterizationCoverage}};
+
+util::Status WriteReport(const std::string& path,
+                         const util::StatusOr<report::Report>& rep) {
+  if (!rep.ok()) return rep.status();
+  return report::WriteJsonFile(path, rep->ToJson());
 }
 
 }  // namespace
@@ -57,7 +115,6 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string manifest_path;
   std::string coverage_path;
-  std::string preset = "coverage_comparison";
   std::vector<std::string> stores;
 
   for (int i = 1; i < argc; ++i) {
@@ -73,8 +130,6 @@ int main(int argc, char** argv) {
       manifest_path = next("--manifest");
     } else if (arg == "--coverage-report") {
       coverage_path = next("--coverage-report");
-    } else if (arg == "--preset") {
-      preset = next("--preset");
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);
@@ -87,145 +142,44 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  auto is_characterization =
-      campaign::StoreIsCharacterizationCampaign(stores.front());
-  if (!is_characterization.ok()) {
+  auto payload = campaign::StorePayload(stores.front());
+  if (!payload.ok()) {
     std::fprintf(stderr, "merge failed: %s\n",
-                 is_characterization.status().ToString().c_str());
+                 payload.status().ToString().c_str());
     return 1;
   }
-  if (*is_characterization) {
-    auto merged = campaign::MergeCharacterizationStores(stores);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("merged %zu store(s): %llu units, fingerprint %016llx\n",
-                stores.size(),
-                static_cast<unsigned long long>(merged->total_units),
-                static_cast<unsigned long long>(merged->fingerprint));
-    std::printf("  %llu corner(s) x %d die(s) per corner\n",
-                static_cast<unsigned long long>(
-                    merged->config.corner_count()),
-                merged->config.trials + 1);
-
-    if (!manifest_path.empty()) {
-      const report::Report manifest =
-          campaign::BuildCharacterizationCampaignManifest(*merged);
-      util::Status st =
-          report::WriteJsonFile(manifest_path, manifest.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!coverage_path.empty()) {
-      report::Report rep(core::kCharacterizationExperiment,
-                         core::kCharacterizationPaperRef,
-                         core::kCharacterizationSummary);
-      core::FillCharacterizationReport(merged->config, merged->units, rep);
-      util::Status st = report::WriteJsonFile(coverage_path, rep.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  auto is_pattern = campaign::StoreIsPatternCampaign(stores.front());
-  if (!is_pattern.ok()) {
-    std::fprintf(stderr, "merge failed: %s\n",
-                 is_pattern.status().ToString().c_str());
-    return 1;
-  }
-  if (*is_pattern) {
-    auto merged = campaign::MergePatternStores(stores);
-    if (!merged.ok()) {
-      std::fprintf(stderr, "merge failed: %s\n",
-                   merged.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("merged %zu store(s): %llu units, fingerprint %016llx\n",
-                stores.size(),
-                static_cast<unsigned long long>(merged->total_units),
-                static_cast<unsigned long long>(merged->fingerprint));
-    for (size_t b = 0; b < merged->sweep.benchmarks.size(); ++b) {
-      const size_t ladder = merged->sweep.pattern_counts.size();
-      const testgen::SweepUnitResult& top = merged->units[(b + 1) * ladder - 1];
-      const double cov = top.togglable == 0
-                             ? 100.0
-                             : 100.0 * top.toggled / top.togglable;
-      std::printf("  %-12s : %.1f%% toggle coverage at %u patterns, "
-                  "%u residual X\n",
-                  merged->sweep.benchmarks[b].c_str(), cov, top.patterns,
-                  top.residual_x);
-    }
-
-    if (!manifest_path.empty()) {
-      const report::Report manifest =
-          campaign::BuildPatternCampaignManifest(*merged);
-      util::Status st =
-          report::WriteJsonFile(manifest_path, manifest.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    if (!coverage_path.empty()) {
-      report::Report cover(testgen::kPatternCoverageExperiment,
-                           testgen::kPatternCoveragePaperRef,
-                           testgen::kPatternCoverageSummary);
-      testgen::FillPatternCoverageReport(merged->sweep, merged->units, cover);
-      util::Status st = report::WriteJsonFile(coverage_path, cover.ToJson());
-      if (!st.ok()) {
-        std::fprintf(stderr, "%s\n", st.ToString().c_str());
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  auto merged = campaign::MergeCampaignStores(stores);
+  auto merged = campaign::MergeStores(**payload, stores);
   if (!merged.ok()) {
     std::fprintf(stderr, "merge failed: %s\n",
                  merged.status().ToString().c_str());
     return 1;
   }
-  const core::ScreeningReport& rep = merged->report;
-  std::printf("merged %zu store(s): %llu units, fingerprint %016llx\n",
-              stores.size(),
-              static_cast<unsigned long long>(merged->total_units),
-              static_cast<unsigned long long>(merged->fingerprint));
-  for (int c = 0; c < core::kNumFaultClasses; ++c) {
-    const auto fc = static_cast<core::FaultClass>(c);
-    std::printf("  %-14s : %d\n",
-                std::string(core::FaultClassName(fc)).c_str(),
-                rep.CountClass(fc));
+  campaign::Tally headline;
+  for (const std::string& unit : merged->units) {
+    const campaign::Tally t = (*payload)->tally(unit);
+    headline.hits += t.hits;
+    headline.weight += t.weight;
   }
-  std::printf("coverage: conventional %.1f%%, with detectors %.1f%%\n",
-              rep.ConventionalCoverage() * 100, rep.CombinedCoverage() * 100);
+  std::printf("merged %zu %.*s store(s): %llu units, fingerprint %016llx, "
+              "headline coverage %.1f%%\n",
+              stores.size(), static_cast<int>((*payload)->name.size()),
+              (*payload)->name.data(),
+              static_cast<unsigned long long>(merged->total_units),
+              static_cast<unsigned long long>(merged->fingerprint),
+              headline.weight == 0 ? 0.0 : 100.0 * headline.hits /
+                                                headline.weight);
 
   if (!manifest_path.empty()) {
-    const report::Report manifest = campaign::BuildCampaignManifest(*merged);
-    util::Status st = report::WriteJsonFile(manifest_path, manifest.ToJson());
+    util::Status st =
+        WriteReport(manifest_path, (*payload)->manifest(*merged));
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
   }
   if (!coverage_path.empty()) {
-    auto opt = campaign::ScreeningPreset(preset);
-    if (!opt.ok()) {
-      std::fprintf(stderr, "%s\n", opt.status().ToString().c_str());
-      return 2;
-    }
-    report::Report cover(bench::kCoverageComparisonExperiment,
-                         bench::kCoverageComparisonPaperRef,
-                         bench::kCoverageComparisonSummary);
-    bench::FillCoverageComparisonReport(rep, *opt, cover);
-    util::Status st = report::WriteJsonFile(coverage_path, cover.ToJson());
+    util::Status st = WriteReport(
+        coverage_path, kCoverageReports.at((*payload)->name)(*merged));
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;

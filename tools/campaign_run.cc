@@ -1,8 +1,7 @@
-// Run (or resume) one shard of a durable defect-screening campaign.
+// Run (or resume) one shard of a durable campaign.
 //
 //   campaign_run --store <path.campaign> [--shard i/N] [--preset NAME]
 //                [--resume] [--overwrite] [--threads N] [--fsync-batch N]
-//                [--hier] [--hier-quantum Q]
 //                [--telemetry <path.json>] [--abort-after-bytes N]
 //
 // The store is an append-only, CRC-checked binary file (docs/campaign.md):
@@ -12,29 +11,28 @@
 // campaign_merge reassembles the monolithic report bit-identically.
 //
 // An existing store is only touched when --resume (continue it) or
-// --overwrite (discard it) says so. Screening presets:
-// coverage_comparison, quick. Presets with a "pattern_" prefix
-// (pattern_coverage, pattern_quick) run a toggle-coverage sweep over
-// sequential benchmarks instead (campaign/pattern_campaign.h), and
-// presets with a "characterization" prefix (characterization,
-// characterization_quick) run a corner/Monte-Carlo characterization
-// (campaign/characterize_campaign.h) — same store format, durability,
+// --overwrite (discard it) says so. The preset picks the payload through
+// the campaign-payload table (campaign/payload.h): coverage_comparison and
+// quick screen defects, pattern_coverage and pattern_quick sweep toggle
+// coverage, characterization and characterization_quick run the
+// corner/Monte-Carlo characterization — same store format, durability,
 // and resume semantics, different payloads.
 // --abort-after-bytes is the crash-injection hook used by tests and CI:
 // the process SIGKILLs itself mid-write once the store reaches that size.
 //
-// Exit codes: 0 = shard complete, 1 = screening/store failure,
+// Exit codes: 0 = shard complete, 1 = evaluation/store failure,
 // 2 = usage error (bad flags, store/flag mismatch).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "campaign/characterize_campaign.h"
-#include "campaign/pattern_campaign.h"
+#include "campaign/payload.h"
 #include "campaign/runner.h"
 #include "report/telemetry_json.h"
 #include "util/file_io.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 using namespace cmldft;
@@ -46,30 +44,41 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --store <path.campaign> [--shard i/N] [--preset NAME]\n"
       "          [--resume] [--overwrite] [--threads N] [--fsync-batch N]\n"
-      "          [--hier] [--hier-quantum Q]\n"
       "          [--telemetry <path.json>]\n"
       "          [--abort-after-bytes N] [--progress]\n"
-      "presets: coverage_comparison (default), quick, pattern_coverage, "
-      "pattern_quick, characterization, characterization_quick\n",
+      "presets (default coverage_comparison):",
       argv0);
+  for (const campaign::Payload* p : campaign::Payloads()) {
+    for (std::string_view preset : p->presets) {
+      std::fprintf(stderr, " %.*s", static_cast<int>(preset.size()),
+                   preset.data());
+    }
+  }
+  std::fprintf(stderr, "\n");
   return 2;
+}
+
+/// Parse an integer flag value in [0, max] or exit 2 naming the flag.
+uint64_t IntFlag(const char* argv0, const char* flag, const char* value,
+                 uint64_t max) {
+  auto v = util::ParseBoundedUint(value, max);
+  if (!v.ok()) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, flag,
+                 v.status().message().c_str());
+    std::exit(2);
+  }
+  return *v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string store_path;
   std::string shard_spec = "0/1";
   std::string preset = "coverage_comparison";
   std::string telemetry_path;
   bool resume = false;
   bool overwrite = false;
-  bool progress = false;
-  int threads = 0;
-  bool hier = false;
-  double hier_quantum = 0.0;
-  int fsync_batch = 8;
-  unsigned long long abort_at_bytes = 0;
+  campaign::RunOptions run;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -81,7 +90,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--store") {
-      store_path = next("--store");
+      run.store_path = next("--store");
     } else if (arg == "--shard") {
       shard_spec = next("--shard");
     } else if (arg == "--preset") {
@@ -93,31 +102,22 @@ int main(int argc, char** argv) {
     } else if (arg == "--overwrite") {
       overwrite = true;
     } else if (arg == "--progress") {
-      progress = true;
+      run.progress = true;
     } else if (arg == "--threads") {
-      threads = std::atoi(next("--threads"));
-    } else if (arg == "--hier") {
-      // Hierarchical bordered-block-diagonal solver (docs/performance.md
-      // "Layer 6"): per-cell elimination with factor sharing. Solutions
-      // are tolerance-equivalent to the flat path.
-      hier = true;
-    } else if (arg == "--hier-quantum") {
-      hier_quantum = std::atof(next("--hier-quantum"));
-      if (hier_quantum < 0.0) {
-        std::fprintf(stderr, "%s: --hier-quantum requires a value >= 0\n",
-                     argv[0]);
-        return 2;
-      }
+      run.threads = static_cast<int>(
+          IntFlag(argv[0], "--threads", next("--threads"), 4096));
     } else if (arg == "--fsync-batch") {
-      fsync_batch = std::atoi(next("--fsync-batch"));
+      run.fsync_batch = static_cast<int>(
+          IntFlag(argv[0], "--fsync-batch", next("--fsync-batch"), 1 << 20));
     } else if (arg == "--abort-after-bytes") {
-      abort_at_bytes = std::strtoull(next("--abort-after-bytes"), nullptr, 10);
+      run.abort_at_bytes = IntFlag(argv[0], "--abort-after-bytes",
+                                   next("--abort-after-bytes"), UINT64_MAX);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);
     }
   }
-  if (store_path.empty()) {
+  if (run.store_path.empty()) {
     std::fprintf(stderr, "%s: --store is required\n", argv[0]);
     return Usage(argv[0]);
   }
@@ -127,81 +127,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", shard.status().ToString().c_str());
     return 2;
   }
+  run.shard = *shard;
+  auto plan = campaign::PlanPreset(preset);
+  if (!plan.ok()) {
+    std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
+    return 2;
+  }
 
-  const bool store_exists = util::FileSizeOf(store_path).ok();
+  const bool store_exists = util::FileSizeOf(run.store_path).ok();
   if (store_exists && !resume && !overwrite) {
     std::fprintf(stderr,
                  "%s: store %s already exists — pass --resume to continue the "
                  "campaign or --overwrite to discard it\n",
-                 argv[0], store_path.c_str());
+                 argv[0], run.store_path.c_str());
     return 2;
   }
   if (store_exists && overwrite) {
-    std::remove(store_path.c_str());
+    std::remove(run.store_path.c_str());
   }
 
-  util::StatusOr<campaign::CampaignRunStats> stats =
-      util::Status::Internal("unreachable");
-  // --hier only applies to defect-screening presets; reject it elsewhere so
-  // a typo'd invocation fails loudly instead of silently running flat.
-  if ((hier || hier_quantum != 0.0) &&
-      (campaign::IsCharacterizationPreset(preset) ||
-       campaign::IsPatternPreset(preset))) {
-    std::fprintf(stderr,
-                 "%s: --hier/--hier-quantum only apply to screening presets "
-                 "(preset '%s' is not one)\n",
-                 argv[0], preset.c_str());
-    return 2;
-  }
-
-  if (campaign::IsCharacterizationPreset(preset)) {
-    campaign::CharacterizationCampaignOptions opt;
-    auto config = campaign::CharacterizationPreset(preset);
-    if (!config.ok()) {
-      std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-      return 2;
-    }
-    opt.config = *config;
-    opt.shard = *shard;
-    opt.store_path = store_path;
-    opt.threads = threads;
-    opt.fsync_batch = fsync_batch;
-    opt.abort_at_bytes = abort_at_bytes;
-    opt.progress = progress;
-    stats = campaign::RunCharacterizationCampaign(opt);
-  } else if (campaign::IsPatternPreset(preset)) {
-    campaign::PatternCampaignOptions opt;
-    auto sweep = campaign::PatternSweepPreset(preset);
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "%s\n", sweep.status().ToString().c_str());
-      return 2;
-    }
-    opt.sweep = *sweep;
-    opt.shard = *shard;
-    opt.store_path = store_path;
-    opt.threads = threads;
-    opt.fsync_batch = fsync_batch;
-    opt.abort_at_bytes = abort_at_bytes;
-    opt.progress = progress;
-    stats = campaign::RunPatternCampaign(opt);
-  } else {
-    campaign::CampaignOptions opt;
-    auto screening = campaign::ScreeningPreset(preset);
-    if (!screening.ok()) {
-      std::fprintf(stderr, "%s\n", screening.status().ToString().c_str());
-      return 2;
-    }
-    opt.screening = *screening;
-    opt.screening.threads = threads;
-    opt.screening.hierarchical = hier;
-    opt.screening.hier_share_quantum = hier_quantum;
-    opt.shard = *shard;
-    opt.store_path = store_path;
-    opt.fsync_batch = fsync_batch;
-    opt.abort_at_bytes = abort_at_bytes;
-    opt.progress = progress;
-    stats = campaign::RunScreeningCampaign(opt);
-  }
+  auto stats = campaign::RunShard(*plan, run);
   if (!stats.ok()) {
     std::fprintf(stderr, "campaign shard failed: %s\n",
                  stats.status().ToString().c_str());

@@ -20,14 +20,17 @@
 // store reaches that size (crash injection for the durability drills).
 //
 // Exit codes: 0 = idle exit, 1 = fatal service error, 2 = usage error.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "report/json.h"
 #include "report/telemetry_json.h"
 #include "service/scheduler.h"
+#include "util/strings.h"
 #include "util/telemetry.h"
 
 using namespace cmldft;
@@ -53,21 +56,35 @@ struct SubmitSpec {
   uint64_t chunk_units = 0;
 };
 
-SubmitSpec ParseSubmit(const std::string& arg) {
+/// Parse an integer flag value in [0, max] or exit 2 naming the flag.
+uint64_t IntFlag(const char* argv0, const char* flag, std::string_view value,
+                 uint64_t max) {
+  auto v = util::ParseBoundedUint(value, max);
+  if (!v.ok()) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, flag,
+                 v.status().message().c_str());
+    std::exit(2);
+  }
+  return *v;
+}
+
+SubmitSpec ParseSubmit(const char* argv0, std::string_view arg) {
   SubmitSpec spec;
   const size_t c1 = arg.find(':');
-  if (c1 == std::string::npos) {
-    spec.preset = arg;
-    return spec;
-  }
-  spec.preset = arg.substr(0, c1);
+  spec.preset = std::string(arg.substr(0, c1));
+  if (c1 == std::string_view::npos) return spec;
   const size_t c2 = arg.find(':', c1 + 1);
-  if (c2 == std::string::npos) {
-    spec.priority = std::atoi(arg.c_str() + c1 + 1);
-    return spec;
+  // PRIORITY may be negative: a leading '-' on the digits.
+  std::string_view priority = arg.substr(c1 + 1, c2 - c1 - 1);
+  const bool negative = !priority.empty() && priority[0] == '-';
+  if (negative) priority.remove_prefix(1);
+  const int magnitude =
+      static_cast<int>(IntFlag(argv0, "--submit", priority, INT32_MAX));
+  spec.priority = negative ? -magnitude : magnitude;
+  if (c2 != std::string_view::npos) {
+    spec.chunk_units = IntFlag(argv0, "--submit", arg.substr(c2 + 1),
+                               UINT64_MAX);
   }
-  spec.priority = std::atoi(arg.substr(c1 + 1, c2 - c1 - 1).c_str());
-  spec.chunk_units = std::strtoull(arg.c_str() + c2 + 1, nullptr, 10);
   return spec;
 }
 
@@ -91,28 +108,33 @@ int main(int argc, char** argv) {
     if (arg == "--state-dir") {
       options.state_dir = next("--state-dir");
     } else if (arg == "--port") {
-      options.worker_port = static_cast<uint16_t>(std::atoi(next("--port")));
+      options.worker_port = static_cast<uint16_t>(
+          IntFlag(argv[0], "--port", next("--port"), UINT16_MAX));
     } else if (arg == "--http-port") {
-      options.http_port = static_cast<uint16_t>(std::atoi(next("--http-port")));
+      options.http_port = static_cast<uint16_t>(
+          IntFlag(argv[0], "--http-port", next("--http-port"), UINT16_MAX));
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--lease-seconds") {
       options.lease_seconds = std::atof(next("--lease-seconds"));
     } else if (arg == "--chunk-units") {
-      options.chunk_units = std::strtoull(next("--chunk-units"), nullptr, 10);
+      options.chunk_units =
+          IntFlag(argv[0], "--chunk-units", next("--chunk-units"), UINT64_MAX);
     } else if (arg == "--retry-ms") {
-      options.retry_ms = static_cast<uint32_t>(std::atoi(next("--retry-ms")));
+      options.retry_ms = static_cast<uint32_t>(
+          IntFlag(argv[0], "--retry-ms", next("--retry-ms"), UINT32_MAX));
     } else if (arg == "--fsync-batch") {
-      options.fsync_batch = std::atoi(next("--fsync-batch"));
+      options.fsync_batch = static_cast<int>(
+          IntFlag(argv[0], "--fsync-batch", next("--fsync-batch"), 1 << 20));
     } else if (arg == "--submit") {
-      submits.push_back(ParseSubmit(next("--submit")));
+      submits.push_back(ParseSubmit(argv[0], next("--submit")));
     } else if (arg == "--idle-exit") {
       options.idle_exit = true;
     } else if (arg == "--telemetry") {
       telemetry_path = next("--telemetry");
     } else if (arg == "--abort-after-bytes") {
-      options.abort_at_bytes =
-          std::strtoull(next("--abort-after-bytes"), nullptr, 10);
+      options.abort_at_bytes = IntFlag(argv[0], "--abort-after-bytes",
+                                       next("--abort-after-bytes"), UINT64_MAX);
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);

@@ -27,17 +27,19 @@
 // 2 = usage error, 3 = scheduler unreachable (without --exit-when-idle),
 // 4 = scheduler rejected a record batch.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <unistd.h>
 
+#include "campaign/runner.h"
 #include "report/json.h"
-#include "service/payload.h"
 #include "service/protocol.h"
 #include "util/clock.h"
 #include "util/net.h"
+#include "util/strings.h"
 
 using namespace cmldft;
 
@@ -51,6 +53,18 @@ int Usage(const char* argv0) {
       "          [--exit-when-idle] [--abort-on-grant K]\n",
       argv0);
   return 2;
+}
+
+/// Parse an integer flag value in [0, max] or exit 2 naming the flag.
+uint64_t IntFlag(const char* argv0, const char* flag, const char* value,
+                 uint64_t max) {
+  auto v = util::ParseBoundedUint(value, max);
+  if (!v.ok()) {
+    std::fprintf(stderr, "%s: %s: %s\n", argv0, flag,
+                 v.status().message().c_str());
+    std::exit(2);
+  }
+  return *v;
 }
 
 void SleepMs(int ms) {
@@ -83,17 +97,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--threads") {
-      threads = std::atoi(next("--threads"));
+      threads = static_cast<int>(
+          IntFlag(argv[0], "--threads", next("--threads"), 4096));
     } else if (arg == "--name") {
       name = next("--name");
     } else if (arg == "--poll-ms") {
-      poll_ms = std::atoi(next("--poll-ms"));
+      poll_ms = static_cast<int>(
+          IntFlag(argv[0], "--poll-ms", next("--poll-ms"), INT32_MAX));
     } else if (arg == "--give-up-ms") {
-      give_up_ms = std::atoi(next("--give-up-ms"));
+      give_up_ms = static_cast<int>(
+          IntFlag(argv[0], "--give-up-ms", next("--give-up-ms"), INT32_MAX));
     } else if (arg == "--exit-when-idle") {
       exit_when_idle = true;
     } else if (arg == "--abort-on-grant") {
-      abort_on_grant = std::atol(next("--abort-on-grant"));
+      abort_on_grant = static_cast<long>(IntFlag(
+          argv[0], "--abort-on-grant", next("--abort-on-grant"), INT32_MAX));
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0], arg.c_str());
       return Usage(argv[0]);
@@ -115,7 +133,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     host = connect_spec.substr(0, colon);
-    port = static_cast<uint16_t>(std::atoi(connect_spec.c_str() + colon + 1));
+    port = static_cast<uint16_t>(IntFlag(argv[0], "--connect",
+                                         connect_spec.c_str() + colon + 1,
+                                         UINT16_MAX));
   }
 
   long grants_received = 0;
@@ -205,7 +225,7 @@ int main(int argc, char** argv) {
         std::raise(SIGKILL);
       }
 
-      auto plan = service::PlanForPreset(reply->preset);
+      auto plan = campaign::PlanPreset(reply->preset);
       if (!plan.ok()) {
         std::fprintf(stderr, "[%s] unknown preset '%s': %s\n", name.c_str(),
                      reply->preset.c_str(),
@@ -223,7 +243,7 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      auto records = service::EvaluateChunk(*plan, reply->unit_ids, threads);
+      auto records = campaign::EvaluateLease(*plan, reply->unit_ids, threads);
       if (!records.ok()) {
         std::fprintf(stderr, "[%s] chunk evaluation failed: %s\n",
                      name.c_str(), records.status().ToString().c_str());
