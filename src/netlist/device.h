@@ -43,14 +43,16 @@ class Device {
 
   /// Load the device's linearized companion model at the present iterate.
   ///
-  /// Contract required by the compiled stamp plan (sim/mna.h): the
-  /// *sequence* of Add*/SetState calls — their destinations and order —
-  /// must be a pure function of the netlist topology and the analysis
-  /// context, never of the iterate. Only the stamped *values* may depend
-  /// on the iterate. A context change may alter the sequence (e.g. charge
-  /// companions joining in transient mode) as long as it changes the call
-  /// count too; replay detects that per device and re-records. Debug
-  /// builds additionally verify every destination against the plan.
+  /// Contract binding sparse assembly, which replays a compiled stamp plan
+  /// (sim/mna.h): the *sequence* of Add*/SetState calls — their
+  /// destinations and order — must be a pure function of the netlist
+  /// topology and the analysis context, never of the iterate. Only the
+  /// stamped *values* may depend on the iterate. A context change may
+  /// alter the sequence (e.g. charge companions joining in transient mode)
+  /// as long as it changes the call count too; replay detects that per
+  /// device and re-records. Debug builds additionally verify every
+  /// destination against the plan. Dense and hierarchical assembly
+  /// accumulate directly and do not rely on it.
   virtual void Stamp(StampContext& ctx) const = 0;
 
   /// Deep copy (for building faulty variants of a circuit).
@@ -70,5 +72,21 @@ class Device {
   std::vector<NodeId> nodes_;
   int ordinal_ = -1;
 };
+
+inline int StampContext::BranchUnknown(const Device& dev, int slot) const {
+  const size_t i = static_cast<size_t>(dev.ordinal());
+  assert(i < slots_->size() && "device not part of this MNA system");
+  const int offset = (*slots_)[i].branch_offset;
+  assert(offset >= 0 && slot < dev.num_branches());
+  return offset + slot;
+}
+
+inline int StampContext::StateSlot(const Device& dev, int slot) const {
+  const size_t i = static_cast<size_t>(dev.ordinal());
+  assert(i < slots_->size() && "device not part of this MNA system");
+  const int offset = (*slots_)[i].state_offset;
+  assert(offset >= 0 && slot < dev.num_states());
+  return offset + slot;
+}
 
 }  // namespace cmldft::netlist

@@ -101,6 +101,9 @@ util::StatusOr<AcResult> RunAc(const netlist::Netlist& netlist,
 
   // Linearize: a backward-Euler transient assembly at the operating point
   // yields J(dt) = G + C/dt exactly (charge companions are linear in 1/dt).
+  // Route dense: the DC solve may have left the system sparse, which would
+  // leave jacobian() unfilled.
+  mna.set_sparse(false);
   mna.set_mode(netlist::AnalysisMode::kTransient);
   mna.set_initializing_state(false);
   mna.set_method(netlist::IntegrationMethod::kBackwardEuler);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -33,106 +32,34 @@ const HierMetrics& Metrics() {
 // Registered at load time for a code-path-independent snapshot schema.
 [[maybe_unused]] const HierMetrics& kEagerRegistration = Metrics();
 
-/// Shared property plumbing for both hierarchical stamp contexts: the
-/// analysis context proxies the MnaSystem (the engines keep configuring
-/// it exactly as on the flat path) and the iterate is read directly.
-class HierContextBase : public netlist::StampContext {
- public:
-  HierContextBase(HierSolver* solver, const linalg::Vector* iterate)
-      : solver_(solver), iterate_(iterate) {}
-
-  netlist::AnalysisMode mode() const override { return solver_->mna().mode(); }
-  double time() const override { return solver_->mna().time(); }
-  double dt() const override { return solver_->mna().dt(); }
-  netlist::IntegrationMethod method() const override {
-    return solver_->mna().method();
-  }
-  double gmin() const override { return solver_->mna().gmin(); }
-  double temperature() const override { return solver_->mna().temperature(); }
-  bool first_iteration() const override {
-    return solver_->mna().first_iteration();
-  }
-  double source_scale() const override { return solver_->mna().source_scale(); }
-  bool initializing_state() const override {
-    return solver_->mna().initializing_state();
-  }
-
-  double V(netlist::NodeId n) const override {
-    const int u = solver_->mna().UnknownOfNode(n);
-    return u < 0 ? 0.0 : (*iterate_)[static_cast<size_t>(u)];
-  }
-  double BranchCurrent(const netlist::Device& dev, int slot) const override {
-    return (*iterate_)[static_cast<size_t>(
-        solver_->mna().UnknownOfBranch(dev, slot))];
-  }
-
-  double PrevState(const netlist::Device& dev, int slot) const override {
-    return solver_->PrevStateOf(dev, slot);
-  }
-  void SetState(const netlist::Device& dev, int slot, double value) override {
-    solver_->SetStateOf(dev, slot, value);
-  }
-
- protected:
-  HierSolver* solver_;
-  const linalg::Vector* iterate_;
-};
-
 }  // namespace
 
 /// Routes one cell's stamps into its dense local block: rows/columns are
 /// the cell's combined local ids (internals first, touched border after).
 /// Any unknown a cell device stamps is in the cell's local map by
-/// construction of the partition.
-class HierSolver::CellStampContext : public HierContextBase {
+/// construction of the partition. Everything a device reads comes from
+/// the MnaSystem, which the engines keep configuring exactly as on the
+/// flat path; states are written straight into its current-state vector.
+class HierSolver::CellStampContext : public netlist::StampContext {
  public:
-  CellStampContext(HierSolver* solver, Cell* cell,
+  CellStampContext(const MnaSystem& mna, Cell* cell,
                    const linalg::Vector* iterate)
-      : HierContextBase(solver, iterate), cell_(cell) {}
+      : StampContext(mna), cell_(cell) {
+    set_iterate(iterate);
+  }
 
-  void AddNodeMatrix(netlist::NodeId row, netlist::NodeId col,
-                     double g) override {
-    Mat(solver_->mna().UnknownOfNode(row), solver_->mna().UnknownOfNode(col),
-        g);
+ protected:
+  void AddMatrix(int r, int c, double v) override {
+    cell_->local(LocalOf(r), LocalOf(c)) += v;
   }
-  void AddNodeRhs(netlist::NodeId row, double value) override {
-    Rhs(solver_->mna().UnknownOfNode(row), value);
-  }
-  void AddBranchNodeMatrix(const netlist::Device& dev, int slot,
-                           netlist::NodeId col, double value) override {
-    Mat(solver_->mna().UnknownOfBranch(dev, slot),
-        solver_->mna().UnknownOfNode(col), value);
-  }
-  void AddNodeBranchMatrix(netlist::NodeId row, const netlist::Device& dev,
-                           int slot, double value) override {
-    Mat(solver_->mna().UnknownOfNode(row),
-        solver_->mna().UnknownOfBranch(dev, slot), value);
-  }
-  void AddBranchBranchMatrix(const netlist::Device& dev, int slot,
-                             double value) override {
-    const int u = solver_->mna().UnknownOfBranch(dev, slot);
-    Mat(u, u, value);
-  }
-  void AddBranchRhs(const netlist::Device& dev, int slot,
-                    double value) override {
-    Rhs(solver_->mna().UnknownOfBranch(dev, slot), value);
-  }
+  void AddRhs(int r, double v) override { cell_->rhs[LocalOf(r)] += v; }
 
  private:
-  int LocalOf(int unknown) const {
+  size_t LocalOf(int unknown) const {
     auto it = cell_->local_of.find(unknown);
     assert(it != cell_->local_of.end() &&
            "cell device stamped an unknown outside its partition");
-    return it->second;
-  }
-  void Mat(int r, int c, double v) {
-    if (r < 0 || c < 0) return;  // ground
-    cell_->local(static_cast<size_t>(LocalOf(r)),
-                 static_cast<size_t>(LocalOf(c))) += v;
-  }
-  void Rhs(int r, double v) {
-    if (r < 0) return;
-    cell_->rhs[static_cast<size_t>(LocalOf(r))] += v;
+    return static_cast<size_t>(it->second);
   }
 
   Cell* cell_;
@@ -141,37 +68,19 @@ class HierSolver::CellStampContext : public HierContextBase {
 /// Routes the global (outside-every-cell) devices' stamps into the
 /// border system. Every unknown a global device touches is border by
 /// construction.
-class HierSolver::BorderStampContext : public HierContextBase {
+class HierSolver::BorderStampContext : public netlist::StampContext {
  public:
   BorderStampContext(HierSolver* solver, const linalg::Vector* iterate)
-      : HierContextBase(solver, iterate) {}
+      : StampContext(*solver->mna_), solver_(solver) {
+    set_iterate(iterate);
+  }
 
-  void AddNodeMatrix(netlist::NodeId row, netlist::NodeId col,
-                     double g) override {
-    Mat(solver_->mna().UnknownOfNode(row), solver_->mna().UnknownOfNode(col),
-        g);
+ protected:
+  void AddMatrix(int r, int c, double v) override {
+    solver_->AddBorderMatrix(BorderOf(r), BorderOf(c), v);
   }
-  void AddNodeRhs(netlist::NodeId row, double value) override {
-    Rhs(solver_->mna().UnknownOfNode(row), value);
-  }
-  void AddBranchNodeMatrix(const netlist::Device& dev, int slot,
-                           netlist::NodeId col, double value) override {
-    Mat(solver_->mna().UnknownOfBranch(dev, slot),
-        solver_->mna().UnknownOfNode(col), value);
-  }
-  void AddNodeBranchMatrix(netlist::NodeId row, const netlist::Device& dev,
-                           int slot, double value) override {
-    Mat(solver_->mna().UnknownOfNode(row),
-        solver_->mna().UnknownOfBranch(dev, slot), value);
-  }
-  void AddBranchBranchMatrix(const netlist::Device& dev, int slot,
-                             double value) override {
-    const int u = solver_->mna().UnknownOfBranch(dev, slot);
-    Mat(u, u, value);
-  }
-  void AddBranchRhs(const netlist::Device& dev, int slot,
-                    double value) override {
-    Rhs(solver_->mna().UnknownOfBranch(dev, slot), value);
+  void AddRhs(int r, double v) override {
+    solver_->border_rhs_[static_cast<size_t>(BorderOf(r))] += v;
   }
 
  private:
@@ -180,30 +89,11 @@ class HierSolver::BorderStampContext : public HierContextBase {
     assert(b >= 0 && "global device stamped a cell-internal unknown");
     return b;
   }
-  void Mat(int r, int c, double v) {
-    if (r < 0 || c < 0) return;  // ground
-    solver_->AddBorderMatrix(BorderOf(r), BorderOf(c), v);
-  }
-  void Rhs(int r, double v) {
-    if (r < 0) return;
-    solver_->border_rhs_[static_cast<size_t>(BorderOf(r))] += v;
-  }
+
+  HierSolver* solver_;
 };
 
 HierSolver::HierSolver(MnaSystem* mna) : mna_(mna) { BuildPartition(); }
-
-double HierSolver::PrevStateOf(const netlist::Device& dev, int slot) const {
-  const int off = mna_->slots_[static_cast<size_t>(dev.ordinal())].state_offset;
-  assert(off >= 0 && slot < dev.num_states());
-  return mna_->prev_states_[static_cast<size_t>(off + slot)];
-}
-
-void HierSolver::SetStateOf(const netlist::Device& dev, int slot,
-                            double value) {
-  const int off = mna_->slots_[static_cast<size_t>(dev.ordinal())].state_offset;
-  assert(off >= 0 && slot < dev.num_states());
-  mna_->curr_states_[static_cast<size_t>(off + slot)] = value;
-}
 
 void HierSolver::AddBorderMatrix(int r, int c, double v) {
   if (border_sparse_) {
@@ -388,7 +278,7 @@ void HierSolver::BuildPartition() {
   border_rhs_.assign(border_unknowns_.size(), 0.0);
 }
 
-std::string HierSolver::SignatureOf(const Cell& cell, double quantum) {
+std::string HierSolver::SignatureOf(const Cell& cell) {
   std::string sig;
   const size_t ni = cell.internal.size();
   const size_t nb = cell.border.size();
@@ -402,19 +292,9 @@ std::string HierSolver::SignatureOf(const Cell& cell, double quantum) {
   };
   append_u32(static_cast<uint32_t>(ni));
   append_u32(static_cast<uint32_t>(nb));
-  auto append_entry = [&sig, quantum](double v) {
-    char buf[8];
-    if (quantum > 0.0) {
-      const int64_t q = std::llround(v / quantum);
-      std::memcpy(buf, &q, 8);
-    } else {
-      std::memcpy(buf, &v, 8);
-    }
-    sig.append(buf, 8);
-  };
-  auto append_matrix = [&](const linalg::Matrix& m) {
-    const double* data = m.data();
-    for (size_t i = 0; i < m.rows() * m.cols(); ++i) append_entry(data[i]);
+  auto append_matrix = [&sig](const linalg::Matrix& m) {
+    sig.append(reinterpret_cast<const char*>(m.data()),
+               m.rows() * m.cols() * sizeof(double));
   };
   append_matrix(cell.a_ii);
   append_matrix(cell.a_ib);
@@ -438,7 +318,7 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
         Cell& cell = cells_[k];
         cell.local.Fill(0.0);
         std::fill(cell.rhs.begin(), cell.rhs.end(), 0.0);
-        CellStampContext ctx(this, &cell, &iterate);
+        CellStampContext ctx(*mna_, &cell, &iterate);
         for (int ordinal : cell.device_ordinals) {
           mna_->netlist().device(ordinal).Stamp(ctx);
         }
@@ -456,7 +336,7 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
             cell.a_bi(r, c) = cell.local(ni + r, c);
           }
         }
-        cell.signature = SignatureOf(cell, opts.hier_share_quantum);
+        cell.signature = SignatureOf(cell);
       },
       threads);
 
@@ -476,8 +356,7 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
     auto prev = prev_map_.find(cell.signature);
     if (prev != prev_map_.end()) {
       // Cross-timepoint hit: the previous solve factored a bit-identical
-      // (or quantized-identical) block — deep in a settled chain this is
-      // the common case.
+      // block — deep in a settled chain this is the common case.
       cell.factors = prev->second;
       cur_map_.emplace(cell.signature, cell.factors);
       continue;

@@ -68,11 +68,6 @@ class HierSolver {
                                 linalg::Vector* x_new,
                                 const NewtonOptions& opts);
 
-  // --- used by the stamp contexts in hier.cc ----------------------------
-  const MnaSystem& mna() const { return *mna_; }
-  double PrevStateOf(const netlist::Device& dev, int slot) const;
-  void SetStateOf(const netlist::Device& dev, int slot, double value);
-
  private:
   class CellStampContext;
   class BorderStampContext;
@@ -101,9 +96,9 @@ class HierSolver {
   void BuildPartition();
   /// Accumulate into the border Jacobian (dense matrix or sparse builder).
   void AddBorderMatrix(int r, int c, double v);
-  /// Factor-share key: cell type + dims + the block entries (raw bytes
-  /// when quantum == 0, quantized integers otherwise).
-  static std::string SignatureOf(const Cell& cell, double quantum);
+  /// Factor-share key: cell type + dims + the raw bytes of the block
+  /// entries, so only bit-identical blocks share a factorization.
+  static std::string SignatureOf(const Cell& cell);
 
   MnaSystem* mna_;
   std::vector<Cell> cells_;

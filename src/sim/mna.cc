@@ -27,7 +27,9 @@ const AssemblyMetrics& Metrics() {
 [[maybe_unused]] const AssemblyMetrics& kEagerRegistration = Metrics();
 }  // namespace
 
-MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
+MnaSystem::MnaSystem(const netlist::Netlist& netlist)
+    : StampContext(analysis_, slots_, prev_states_, curr_states_),
+      netlist_(&netlist) {
   num_devices_ = netlist.num_devices();
   num_node_unknowns_ = netlist.num_nodes() - 1;  // ground excluded
   int branch_cursor = num_node_unknowns_;
@@ -36,7 +38,7 @@ MnaSystem::MnaSystem(const netlist::Netlist& netlist) : netlist_(&netlist) {
   for (int i = 0; i < num_devices_; ++i) {
     const Device& dev = netlist.device(i);
     assert(dev.ordinal() == i && "netlist device ordinals out of sync");
-    DeviceSlots& s = slots_[static_cast<size_t>(i)];
+    netlist::DeviceSlots& s = slots_[static_cast<size_t>(i)];
     if (dev.num_branches() > 0) {
       s.branch_offset = branch_cursor;
       branch_cursor += dev.num_branches();
@@ -66,24 +68,15 @@ HierSolver* MnaSystem::GetHierSolver() {
   return hier_.get();
 }
 
-const MnaSystem::DeviceSlots& MnaSystem::SlotsOf(const Device& dev) const {
-  const int i = dev.ordinal();
-  assert(i >= 0 && i < static_cast<int>(slots_.size()) &&
-         "device not part of this MNA system");
-  assert(&netlist_->device(i) == &dev &&
-         "device ordinal does not match this system's netlist");
-  return slots_[static_cast<size_t>(i)];
-}
-
 int MnaSystem::UnknownOfNode(NodeId node) const {
   assert(node >= 0 && node < netlist_->num_nodes());
   return node == netlist::kGroundNode ? -1 : node - 1;
 }
 
 int MnaSystem::UnknownOfBranch(const Device& dev, int slot) const {
-  const DeviceSlots& s = SlotsOf(dev);
-  assert(s.branch_offset >= 0 && slot < dev.num_branches());
-  return s.branch_offset + slot;
+  assert(&netlist_->device(dev.ordinal()) == &dev &&
+         "device ordinal does not match this system's netlist");
+  return BranchUnknown(dev, slot);
 }
 
 void MnaSystem::set_sparse(bool sparse) {
@@ -93,36 +86,23 @@ void MnaSystem::set_sparse(bool sparse) {
   }
 }
 
-void MnaSystem::set_stamp_plan_mode(StampPlanMode mode) {
-  plan_mode_ = mode;
-  if (mode == StampPlanMode::kOff) plan_ready_ = false;
-}
-
 void MnaSystem::Assemble(const linalg::Vector& iterate) {
   assert(static_cast<int>(iterate.size()) == num_unknowns_);
   assert(netlist_->num_devices() == num_devices_ &&
          "netlist devices changed after MnaSystem construction");
-  iterate_ = &iterate;
-  const bool use_plan =
-      plan_mode_ == StampPlanMode::kForce ||
-      (plan_mode_ == StampPlanMode::kAuto && sparse_);
-  if (use_plan) {
-    const bool replayable =
-        plan_ready_ && plan_sparse_ == sparse_ &&
-        (!sparse_ || sparse_jac_.pattern_version() == plan_pattern_version_);
-    if (!replayable || !ReplayAssemble()) RecordAssemble();
-  } else {
-    LegacyAssemble();
+  set_iterate(&iterate);
+  if (!sparse_) {
+    DenseAssemble();
+  } else if (!plan_ready_ ||
+             sparse_jac_.pattern_version() != plan_pattern_version_ ||
+             !ReplayAssemble()) {
+    RecordAssemble();
   }
-  iterate_ = nullptr;
+  set_iterate(nullptr);
 }
 
-void MnaSystem::LegacyAssemble() {
-  if (sparse_) {
-    sparse_jac_.Clear();
-  } else {
-    jacobian_.Fill(0.0);
-  }
+void MnaSystem::DenseAssemble() {
+  jacobian_.Fill(0.0);
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   for (int i = 0; i < num_devices_; ++i) netlist_->device(i).Stamp(*this);
 }
@@ -134,11 +114,7 @@ void MnaSystem::RecordAssemble() {
   rhs_plan_.clear();
   state_plan_.clear();
   spans_.assign(static_cast<size_t>(num_devices_), DeviceSpan{});
-  if (sparse_) {
-    sparse_jac_.Clear();
-  } else {
-    jacobian_.Fill(0.0);
-  }
+  sparse_jac_.Clear();
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   for (int i = 0; i < num_devices_; ++i) {
     DeviceSpan& span = spans_[static_cast<size_t>(i)];
@@ -150,7 +126,7 @@ void MnaSystem::RecordAssemble() {
     span.rhs_end = static_cast<uint32_t>(rhs_plan_.size());
     span.state_end = static_cast<uint32_t>(state_plan_.size());
   }
-  phase_ = AssemblyPhase::kLegacy;
+  phase_ = AssemblyPhase::kDense;
   CompilePlan();
 }
 
@@ -162,10 +138,7 @@ void MnaSystem::CompilePlan() {
   for (size_t k = 0; k < rec_mat_.size(); ++k) {
     const auto [r, c] = rec_mat_[k];
     double* target =
-        sparse_ ? sparse_jac_.SlotPointer(static_cast<size_t>(r),
-                                          static_cast<size_t>(c))
-                : jacobian_.data() + static_cast<size_t>(r) * n +
-                      static_cast<size_t>(c);
+        sparse_jac_.SlotPointer(static_cast<size_t>(r), static_cast<size_t>(c));
     assert(target != nullptr && "recorded slot missing from sparse pattern");
     if (target == nullptr) return;  // leave plan_ready_ false
     const bool first =
@@ -179,9 +152,7 @@ void MnaSystem::CompilePlan() {
   rhs_plan_.push_back(-1);
   state_plan_.push_back(-1);
 
-  plan_sparse_ = sparse_;
-  plan_assign_bias_ = sparse_ ? -0.0 : 0.0;
-  plan_pattern_version_ = sparse_ ? sparse_jac_.pattern_version() : 0;
+  plan_pattern_version_ = sparse_jac_.pattern_version();
   plan_ready_ = true;
   Metrics().plan_compiles.Increment();
 }
@@ -204,7 +175,7 @@ bool MnaSystem::ReplayAssemble() {
       break;
     }
   }
-  phase_ = AssemblyPhase::kLegacy;
+  phase_ = AssemblyPhase::kDense;
   if (plan_mismatch_) {
     plan_ready_ = false;
     Metrics().plan_mismatches.Increment();
@@ -221,18 +192,7 @@ void MnaSystem::ResetCurrentStates() {
   curr_states_ = prev_states_;
 }
 
-double MnaSystem::V(NodeId n) const {
-  assert(iterate_ != nullptr && "V() outside Assemble()");
-  const int u = UnknownOfNode(n);
-  return u < 0 ? 0.0 : (*iterate_)[static_cast<size_t>(u)];
-}
-
-double MnaSystem::BranchCurrent(const Device& dev, int slot) const {
-  assert(iterate_ != nullptr);
-  return (*iterate_)[static_cast<size_t>(UnknownOfBranch(dev, slot))];
-}
-
-void MnaSystem::StampMatrix(int r, int c, double v) {
+void MnaSystem::AddMatrix(int r, int c, double v) {
   if (phase_ == AssemblyPhase::kReplaying) {
     const MatrixWrite& e = mat_plan_[mat_cursor_];
     // The sentinel's null target stops a device that stamps past its
@@ -253,23 +213,22 @@ void MnaSystem::StampMatrix(int r, int c, double v) {
     ++mat_cursor_;
     if (e.key & kAssignBit) {
       // First touch of this slot: store instead of accumulating so replay
-      // can skip re-zeroing the matrix; the bias reproduces the backend's
-      // legacy signed-zero behavior (see MatrixWrite in the header).
-      *e.target = v + plan_assign_bias_;
+      // can skip re-clearing the builder (see MatrixWrite in the header).
+      *e.target = v;
     } else {
       *e.target += v;
     }
     return;
   }
-  if (phase_ == AssemblyPhase::kRecording) rec_mat_.push_back({r, c});
-  if (sparse_) {
+  if (phase_ == AssemblyPhase::kRecording) {
+    rec_mat_.push_back({r, c});
     sparse_jac_.Add(static_cast<size_t>(r), static_cast<size_t>(c), v);
-  } else {
-    jacobian_(static_cast<size_t>(r), static_cast<size_t>(c)) += v;
+    return;
   }
+  jacobian_(static_cast<size_t>(r), static_cast<size_t>(c)) += v;
 }
 
-void MnaSystem::StampRhs(int r, double v) {
+void MnaSystem::AddRhs(int r, double v) {
   if (phase_ == AssemblyPhase::kReplaying) {
     if (rhs_plan_[rhs_cursor_] != static_cast<int32_t>(r)) {
       plan_mismatch_ = true;  // includes the -1 sentinel past the end
@@ -285,67 +244,21 @@ void MnaSystem::StampRhs(int r, double v) {
   rhs_[static_cast<size_t>(r)] += v;
 }
 
-void MnaSystem::AddNodeMatrix(NodeId row, NodeId col, double g) {
-  const int r = UnknownOfNode(row);
-  const int c = UnknownOfNode(col);
-  if (r < 0 || c < 0) return;
-  StampMatrix(r, c, g);
-}
-
-void MnaSystem::AddNodeRhs(NodeId row, double value) {
-  const int r = UnknownOfNode(row);
-  if (r < 0) return;
-  StampRhs(r, value);
-}
-
-void MnaSystem::AddBranchNodeMatrix(const Device& dev, int slot, NodeId col,
-                                    double value) {
-  const int r = UnknownOfBranch(dev, slot);
-  const int c = UnknownOfNode(col);
-  if (c < 0) return;
-  StampMatrix(r, c, value);
-}
-
-void MnaSystem::AddNodeBranchMatrix(NodeId row, const Device& dev, int slot,
-                                    double value) {
-  const int r = UnknownOfNode(row);
-  if (r < 0) return;
-  StampMatrix(r, UnknownOfBranch(dev, slot), value);
-}
-
-void MnaSystem::AddBranchBranchMatrix(const Device& dev, int slot,
-                                      double value) {
-  const int i = UnknownOfBranch(dev, slot);
-  StampMatrix(i, i, value);
-}
-
-void MnaSystem::AddBranchRhs(const Device& dev, int slot, double value) {
-  StampRhs(UnknownOfBranch(dev, slot), value);
-}
-
-double MnaSystem::PrevState(const Device& dev, int slot) const {
-  const DeviceSlots& s = SlotsOf(dev);
-  assert(s.state_offset >= 0 && slot < dev.num_states());
-  return prev_states_[static_cast<size_t>(s.state_offset + slot)];
-}
-
-void MnaSystem::SetState(const Device& dev, int slot, double value) {
-  const DeviceSlots& s = SlotsOf(dev);
-  assert(s.state_offset >= 0 && slot < dev.num_states());
-  const size_t abs_slot = static_cast<size_t>(s.state_offset + slot);
+void MnaSystem::WriteState(int slot, double value) {
+  const size_t s = static_cast<size_t>(slot);
   if (phase_ == AssemblyPhase::kReplaying) {
-    if (state_plan_[state_cursor_] != static_cast<int32_t>(abs_slot)) {
+    if (state_plan_[state_cursor_] != static_cast<int32_t>(slot)) {
       plan_mismatch_ = true;  // includes the -1 sentinel past the end
       return;
     }
     ++state_cursor_;
-    curr_states_[abs_slot] = value;
+    curr_states_[s] = value;
     return;
   }
   if (phase_ == AssemblyPhase::kRecording) {
-    state_plan_.push_back(static_cast<int32_t>(abs_slot));
+    state_plan_.push_back(static_cast<int32_t>(slot));
   }
-  curr_states_[abs_slot] = value;
+  curr_states_[s] = value;
 }
 
 }  // namespace cmldft::sim

@@ -62,7 +62,6 @@ util::StatusOr<NewtonResult> SolveNewton(MnaSystem& mna,
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     metrics.iterations.Increment();
-    mna.set_first_iteration(iter == 0);
 
     linalg::Vector x_new;
     if (hier != nullptr) {

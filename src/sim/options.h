@@ -29,20 +29,13 @@ struct NewtonOptions {
   /// Bordered-block-diagonal elimination over the netlist's cell-instance
   /// annotations (sim/hier.h): per-cell internal blocks are factored and
   /// Schur-eliminated into a small interconnect border, in parallel, with
-  /// factorizations shared across same-type cells whose blocks agree.
+  /// factorizations shared across same-type cells whose blocks agree bit
+  /// for bit.
   /// Same linear system as the flat solve in a different elimination
   /// order, so solutions are tolerance-equivalent (gated like dense ==
   /// sparse). Falls back to the flat path when the netlist carries no
   /// usable cell annotations. Default off.
   bool hierarchical = false;
-  /// Factor-share quantum [relative units of the block entries]. 0 (the
-  /// default) shares a factorization only between cells whose internal
-  /// blocks agree bit for bit — mathematically exact. > 0 additionally
-  /// shares across cells whose entries agree after quantization by this
-  /// step, trading a bounded companion-model perturbation for more
-  /// sharing (documented in docs/performance.md; keep 0 when golden
-  /// waveform stability matters).
-  double hier_share_quantum = 0.0;
   /// Worker threads for the per-cell assembly/factor phases: 0 = auto
   /// (CMLDFT_THREADS or hardware concurrency), 1 = serial. Results are
   /// bit-identical for any thread count.

@@ -42,6 +42,36 @@ TEST(Ac, RcLowPassMatchesAnalytic) {
   EXPECT_NEAR(r->Corner3dB("out"), fc, fc * 0.05);
 }
 
+// The operating point's linear solver must not matter: a DC solve routed
+// sparse (forced here; kAuto does it above 256 unknowns) leaves the dense
+// Jacobian unfilled, so AC must linearize with dense routing itself.
+TEST(Ac, SparseOperatingPointMatchesDense) {
+  netlist::Netlist nl;
+  const auto vin = nl.AddNode("vin");
+  const auto out = nl.AddNode("out");
+  nl.AddDevice(std::make_unique<devices::VSource>("V1", vin, kGroundNode,
+                                                  devices::Waveform::Dc(0.0)));
+  nl.AddDevice(std::make_unique<devices::Resistor>("R1", vin, out, 1_kOhm));
+  nl.AddDevice(std::make_unique<devices::Capacitor>("C1", out, kGroundNode, 1_pF));
+  const auto freqs = LogFrequencies(1e6, 10e9, 10);
+  AcOptions dense_opts;
+  dense_opts.dc.newton.solver = NewtonOptions::Solver::kDense;
+  AcOptions sparse_opts;
+  sparse_opts.dc.newton.solver = NewtonOptions::Solver::kSparse;
+  auto dense = RunAc(nl, "V1", freqs, dense_opts);
+  auto sparse = RunAc(nl, "V1", freqs, sparse_opts);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  const auto dm = dense->Magnitude("out");
+  const auto sm = sparse->Magnitude("out");
+  const auto dp = dense->Phase("out");
+  const auto sp = sparse->Phase("out");
+  for (size_t i = 0; i < freqs.size(); ++i) {
+    EXPECT_NEAR(sm[i], dm[i], dm[i] * 0.01 + 1e-6) << "f=" << freqs[i];
+    EXPECT_NEAR(sp[i], dp[i], 0.01) << "f=" << freqs[i];
+  }
+}
+
 TEST(Ac, SecondSourceIsAcGrounded) {
   // Superposition check: a second DC source contributes nothing to the
   // small-signal response.

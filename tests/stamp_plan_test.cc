@@ -1,12 +1,15 @@
 // The compiled stamp plan must be invisible: for any netlist, any mode
-// sequence, and any iterate, a plan-driven Assemble() produces a Jacobian,
-// RHS, and state vector bit-identical to the legacy hash-and-branch path —
-// in dense and sparse routing, across mode/context switches that force
-// devices down different conditional stamp paths (plan mismatch +
-// re-record), and across state rotations.
+// sequence, and any iterate, a reused sparse system that replays its plan
+// produces a Jacobian, RHS, and state vector bit-identical to a fresh
+// system's first (recording) assembly — across mode/context switches that
+// force devices down different conditional stamp paths (plan mismatch +
+// re-record), across state rotations and rejected steps, and across
+// switches between sparse and dense routing. Dense and sparse routing
+// assemble the same values.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -98,11 +101,11 @@ std::vector<SparseEntry> Entries(const linalg::SparseBuilder& b) {
   return out;
 }
 
-void ExpectIdentical(const sim::MnaSystem& plan, const sim::MnaSystem& legacy,
-                     bool sparse) {
-  if (sparse) {
-    const auto pe = Entries(plan.sparse_jacobian());
-    const auto le = Entries(legacy.sparse_jacobian());
+void ExpectIdentical(const sim::MnaSystem& reused,
+                     const sim::MnaSystem& fresh) {
+  if (reused.sparse()) {
+    const auto pe = Entries(reused.sparse_jacobian());
+    const auto le = Entries(fresh.sparse_jacobian());
     ASSERT_EQ(pe.size(), le.size());
     for (size_t k = 0; k < pe.size(); ++k) {
       EXPECT_EQ(pe[k].row, le[k].row) << "entry " << k;
@@ -110,53 +113,75 @@ void ExpectIdentical(const sim::MnaSystem& plan, const sim::MnaSystem& legacy,
       EXPECT_TRUE(BitEqual(pe[k].value, le[k].value, "sparse", k));
     }
   } else {
-    const size_t n = static_cast<size_t>(plan.num_unknowns());
+    const size_t n = static_cast<size_t>(reused.num_unknowns());
     for (size_t i = 0; i < n * n; ++i) {
-      ASSERT_TRUE(BitEqual(plan.jacobian().data()[i],
-                           legacy.jacobian().data()[i], "jacobian", i));
+      ASSERT_TRUE(BitEqual(reused.jacobian().data()[i],
+                           fresh.jacobian().data()[i], "jacobian", i));
     }
   }
-  for (size_t i = 0; i < plan.rhs().size(); ++i) {
-    ASSERT_TRUE(BitEqual(plan.rhs()[i], legacy.rhs()[i], "rhs", i));
+  for (size_t i = 0; i < reused.rhs().size(); ++i) {
+    ASSERT_TRUE(BitEqual(reused.rhs()[i], fresh.rhs()[i], "rhs", i));
+  }
+  const std::vector<double>& rs = reused.current_states();
+  const std::vector<double>& fs = fresh.current_states();
+  ASSERT_EQ(rs.size(), fs.size());
+  for (size_t i = 0; i < rs.size(); ++i) {
+    ASSERT_TRUE(BitEqual(rs[i], fs[i], "state", i));
   }
 }
 
-// Drives a plan-enabled and a plan-disabled system through the same
-// context/iterate sequence and demands bitwise-equal results after every
-// single Assemble.
-void RunLockstep(uint64_t seed, bool sparse) {
-  const netlist::Netlist nl = RandomNetlist(seed, /*num_nodes=*/9,
-                                            /*num_devices=*/24);
-  sim::MnaSystem plan_sys(nl);
-  sim::MnaSystem legacy_sys(nl);
-  plan_sys.set_stamp_plan_mode(sim::MnaSystem::StampPlanMode::kForce);
-  legacy_sys.set_stamp_plan_mode(sim::MnaSystem::StampPlanMode::kOff);
-  util::Rng rng(seed ^ 0xD1CEull);
+// One step of an analysis history: a context change (including state
+// rotation/reset) or an assembly at a given iterate.
+struct Step {
+  std::function<void(sim::MnaSystem&)> configure;
+  linalg::Vector iterate;  // empty: configure-only step
+};
 
-  auto both = [&](auto&& fn) {
-    fn(plan_sys);
-    fn(legacy_sys);
+// Drives one reused system through `history` and, after every assembly,
+// rebuilds the state it had on a fresh system: the steps before run with
+// dense routing (same states, no plan), then the fresh system makes its
+// first assembly in the reused system's routing — for sparse, a recording.
+// Every pair must be bitwise equal.
+void RunAgainstFresh(const netlist::Netlist& nl,
+                     const std::vector<Step>& history) {
+  sim::MnaSystem reused(nl);
+  for (size_t k = 0; k < history.size(); ++k) {
+    if (history[k].configure) history[k].configure(reused);
+    if (history[k].iterate.empty()) continue;
+    reused.Assemble(history[k].iterate);
+
+    sim::MnaSystem fresh(nl);
+    for (size_t j = 0; j < k; ++j) {
+      if (history[j].configure) history[j].configure(fresh);
+      if (history[j].iterate.empty()) continue;
+      fresh.set_sparse(false);
+      fresh.Assemble(history[j].iterate);
+    }
+    if (history[k].configure) history[k].configure(fresh);
+    fresh.set_sparse(reused.sparse());
+    fresh.Assemble(history[k].iterate);
+    ExpectIdentical(reused, fresh);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// DC iterations, a switch to transient (charge companions activate, so
+// devices take different conditional stamp paths — the plan must
+// re-record, not replay garbage), accepted timepoints, and a rejected
+// step retried with a smaller dt.
+std::vector<Step> AnalysisHistory(util::Rng& rng, int n, bool sparse) {
+  std::vector<Step> h;
+  auto config = [&h](std::function<void(sim::MnaSystem&)> fn) {
+    h.push_back({std::move(fn), {}});
   };
-  both([&](sim::MnaSystem& m) {
+  auto assemble = [&] { h.push_back({nullptr, RandomIterate(rng, n)}); };
+  config([sparse](sim::MnaSystem& m) {
     m.set_sparse(sparse);
     m.set_mode(netlist::AnalysisMode::kDcOperatingPoint);
     m.set_initializing_state(true);
   });
-
-  // DC phase: several iterates (first one records the plan).
-  for (int iter = 0; iter < 4; ++iter) {
-    const linalg::Vector x = RandomIterate(rng, plan_sys.num_unknowns());
-    both([&](sim::MnaSystem& m) {
-      m.set_first_iteration(iter == 0);
-      m.Assemble(x);
-    });
-    ExpectIdentical(plan_sys, legacy_sys, sparse);
-  }
-
-  // Switch to transient: charge companions activate, devices take
-  // different conditional stamp paths — the plan must re-record, not
-  // replay garbage.
-  both([&](sim::MnaSystem& m) {
+  for (int iter = 0; iter < 4; ++iter) assemble();
+  config([](sim::MnaSystem& m) {
     m.RotateStates();
     m.set_mode(netlist::AnalysisMode::kTransient);
     m.set_initializing_state(false);
@@ -164,56 +189,84 @@ void RunLockstep(uint64_t seed, bool sparse) {
     m.set_time(1e-12);
   });
   for (int step = 0; step < 3; ++step) {
-    for (int iter = 0; iter < 3; ++iter) {
-      const linalg::Vector x = RandomIterate(rng, plan_sys.num_unknowns());
-      both([&](sim::MnaSystem& m) {
-        m.set_first_iteration(iter == 0);
-        m.Assemble(x);
-      });
-      ExpectIdentical(plan_sys, legacy_sys, sparse);
-    }
-    both([&](sim::MnaSystem& m) {
+    for (int iter = 0; iter < 3; ++iter) assemble();
+    config([step](sim::MnaSystem& m) {
       m.RotateStates();
       m.set_time(1e-12 * (step + 2));
     });
   }
-
-  // A rejected step: reset states and retry with a smaller dt.
-  both([&](sim::MnaSystem& m) {
+  config([](sim::MnaSystem& m) {
     m.ResetCurrentStates();
     m.set_dt(2.5e-13);
   });
-  const linalg::Vector x = RandomIterate(rng, plan_sys.num_unknowns());
-  both([&](sim::MnaSystem& m) {
-    m.set_first_iteration(true);
-    m.Assemble(x);
-  });
-  ExpectIdentical(plan_sys, legacy_sys, sparse);
+  assemble();
+  return h;
+}
+
+void RunHistory(uint64_t seed, bool sparse) {
+  const netlist::Netlist nl = RandomNetlist(seed, /*num_nodes=*/9,
+                                            /*num_devices=*/24);
+  util::Rng rng(seed ^ 0xD1CEull);
+  const int n = sim::MnaSystem(nl).num_unknowns();
+  RunAgainstFresh(nl, AnalysisHistory(rng, n, sparse));
 }
 
 TEST(StampPlanTest, RandomNetlistsDenseBitIdentical) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) RunLockstep(seed, /*sparse=*/false);
+  for (uint64_t seed = 1; seed <= 8; ++seed) RunHistory(seed, /*sparse=*/false);
 }
 
 TEST(StampPlanTest, RandomNetlistsSparseBitIdentical) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) RunLockstep(seed, /*sparse=*/true);
+  for (uint64_t seed = 1; seed <= 8; ++seed) RunHistory(seed, /*sparse=*/true);
 }
 
 // Switching a system between sparse and dense routing mid-life must not
-// replay a plan compiled for the other backend.
+// replay a stale plan or leave the other backend's storage half-built.
 TEST(StampPlanTest, SurvivesSparseDenseSwitch) {
   const netlist::Netlist nl = RandomNetlist(3, 8, 20);
-  sim::MnaSystem plan_sys(nl);
-  sim::MnaSystem legacy_sys(nl);
-  legacy_sys.set_stamp_plan_mode(sim::MnaSystem::StampPlanMode::kOff);
   util::Rng rng(99);
-  for (const bool sparse : {false, true, false, true}) {
-    plan_sys.set_sparse(sparse);
-    legacy_sys.set_sparse(sparse);
-    const linalg::Vector x = RandomIterate(rng, plan_sys.num_unknowns());
-    plan_sys.Assemble(x);
-    legacy_sys.Assemble(x);
-    ExpectIdentical(plan_sys, legacy_sys, sparse);
+  const int n = sim::MnaSystem(nl).num_unknowns();
+  std::vector<Step> history;
+  for (const bool sparse : {false, true, false, true, true}) {
+    history.push_back({[sparse](sim::MnaSystem& m) { m.set_sparse(sparse); },
+                       RandomIterate(rng, n)});
+  }
+  RunAgainstFresh(nl, history);
+}
+
+// Dense and sparse routing of the same assembly agree in value (the sign
+// of an exact zero may differ: dense accumulates into +0.0).
+TEST(StampPlanTest, DenseAndSparseRoutingAssembleEqualValues) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const netlist::Netlist nl = RandomNetlist(seed, 9, 24);
+    sim::MnaSystem dense(nl);
+    sim::MnaSystem sparse(nl);
+    sparse.set_sparse(true);
+    util::Rng rng(seed);
+    for (const bool transient : {false, true}) {
+      for (sim::MnaSystem* m : {&dense, &sparse}) {
+        m->set_mode(transient ? netlist::AnalysisMode::kTransient
+                              : netlist::AnalysisMode::kDcOperatingPoint);
+        m->set_initializing_state(!transient);
+        m->set_dt(1e-12);
+      }
+      for (int iter = 0; iter < 3; ++iter) {
+        const linalg::Vector x = RandomIterate(rng, dense.num_unknowns());
+        dense.Assemble(x);
+        sparse.Assemble(x);
+        const linalg::Matrix s = sparse.sparse_jacobian().ToDense();
+        const size_t nu = static_cast<size_t>(dense.num_unknowns());
+        for (size_t i = 0; i < nu * nu; ++i) {
+          ASSERT_EQ(dense.jacobian().data()[i], s.data()[i])
+              << "seed " << seed << " entry " << i;
+        }
+        for (size_t i = 0; i < nu; ++i) {
+          ASSERT_TRUE(BitEqual(dense.rhs()[i], sparse.rhs()[i], "rhs", i))
+              << "seed " << seed;
+        }
+      }
+      dense.RotateStates();
+      sparse.RotateStates();
+    }
   }
 }
 
