@@ -266,8 +266,9 @@ void HierSolver::BuildPartition() {
   usable_ = !cells_.empty();
   if (!usable_) return;
 
-  // Border solver storage: same dense/sparse crossover as the flat kAuto
-  // solver (~256 unknowns).
+  // Border solver storage: dense up to 256 border unknowns, sparse above.
+  // This is the border's own threshold, set independently of the flat
+  // kAuto one (NewtonOptions::solver).
   border_sparse_ = border_unknowns_.size() > 256;
   if (border_sparse_) {
     border_builder_ = linalg::SparseBuilder(border_unknowns_.size());
@@ -414,7 +415,9 @@ util::Status HierSolver::AssembleAndSolve(const linalg::Vector& iterate,
   // a fixed summation order keeps results thread-count independent.
   std::fill(border_rhs_.begin(), border_rhs_.end(), 0.0);
   if (border_sparse_) {
-    border_builder_.Clear();
+    // Values only: the border pattern is the same every solve, so keeping
+    // the slots keeps the border LU's compiled schedule.
+    border_builder_.ZeroValues();
   } else {
     border_mat_.Fill(0.0);
   }

@@ -108,10 +108,10 @@ class HierSolver {
   std::vector<int> border_index_of_;  ///< global unknown -> border id or -1
   std::vector<int> global_devices_;   ///< ordinals outside every cell
 
-  // Border system storage. Dense below the same ~256-unknown crossover
-  // the flat kAuto solver uses; sparse above it, with the builder's
-  // deterministic re-Add order keeping the pattern stable so the numeric
-  // Refactor fast path engages after the first factorization.
+  // Border system storage. Dense up to 256 border unknowns; sparse above,
+  // where each solve resets the builder with ZeroValues() and re-adds the
+  // same entries, so its pattern stamp stays put and the border LU keeps
+  // one compiled Refactor schedule after its first factorization.
   linalg::Matrix border_mat_;
   linalg::Vector border_rhs_;
   linalg::Vector border_x_;

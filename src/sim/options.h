@@ -18,10 +18,12 @@ struct NewtonOptions {
   double max_delta_v = 0.25;
   /// Junction shunt conductance [S].
   double gmin = 1e-12;
-  /// Linear solver. kAuto uses the dense LU below ~256 unknowns (measured
-  /// crossover for CML-like MNA patterns: the sparse code's Markowitz scan
-  /// and hash-map constants dominate on small systems) and the sparse LU
-  /// above.
+  /// Linear solver. kAuto uses the dense LU up to 256 unknowns and the
+  /// sparse LU above. With Refactor on a compiled schedule, forced sparse
+  /// already beats forced dense from ~40 unknowns on clocked CML chain
+  /// transients (docs/performance.md Layer 3); the threshold stays at 256
+  /// so every paper bench keeps its dense-path results (fig14_load_sharing
+  /// solves exactly 256 unknowns).
   enum class Solver { kAuto, kDense, kSparse };
   Solver solver = Solver::kAuto;
 

@@ -10,6 +10,7 @@
 #include "linalg/sparse.h"
 #include "sim/dc.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace cmldft::linalg {
 namespace {
@@ -30,6 +31,33 @@ TEST(SparseBuilder, ClearResets) {
   b.Add(0, 0, 1.0);
   b.Clear();
   EXPECT_EQ(b.num_entries(), 0u);
+}
+
+TEST(SparseBuilder, ZeroValuesKeepsPattern) {
+  SparseBuilder b(3);
+  b.Add(0, 1, 2.0);
+  b.Add(2, 2, 1.0);
+  const uint64_t version = b.pattern_version();
+  b.ZeroValues();
+  EXPECT_EQ(b.num_entries(), 2u);
+  EXPECT_EQ(b.pattern_version(), version);
+  EXPECT_EQ(b.ToDense()(0, 1), 0.0);
+  b.Add(0, 1, 4.0);  // existing slot: value only
+  EXPECT_EQ(b.pattern_version(), version);
+  EXPECT_DOUBLE_EQ(b.ToDense()(0, 1), 4.0);
+  b.Add(1, 0, 1.0);  // new slot: new stamp
+  EXPECT_NE(b.pattern_version(), version);
+}
+
+TEST(SparseBuilder, PatternStampsAreUniqueAcrossBuilders) {
+  // Same dimension, same number of slot insertions, different patterns.
+  SparseBuilder a(4), b(4);
+  a.Add(0, 1, 1.0);
+  b.Add(1, 0, 1.0);
+  EXPECT_NE(a.pattern_version(), b.pattern_version());
+  a.Clear();
+  b.Clear();
+  EXPECT_NE(a.pattern_version(), b.pattern_version());
 }
 
 TEST(SparseLu, SolvesHandSystem) {
@@ -147,6 +175,50 @@ SparseBuilder RandomMnaLike(size_t n, uint64_t seed, double scale = 1.0) {
   }
   return b;
 }
+
+// Fresh diagonally dominant values on `b`'s existing pattern; the pattern
+// stamp does not move.
+void Revalue(SparseBuilder* b, uint64_t seed) {
+  std::vector<std::pair<size_t, size_t>> slots;
+  b->ForEach([&](size_t r, size_t c, double) { slots.push_back({r, c}); });
+  b->ZeroValues();
+  util::Rng rng(seed);
+  std::vector<double> row_sum(b->dimension(), 0.0);
+  for (const auto& [r, c] : slots) {
+    if (r == c) continue;
+    const double v = rng.NextDouble(-1, 1);
+    b->Add(r, c, v);
+    row_sum[r] += std::fabs(v);
+  }
+  for (const auto& [r, c] : slots) {
+    if (r == c) b->Add(r, c, row_sum[r] + rng.NextDouble(0.5, 1.5));
+  }
+}
+
+// Solves `b` with `lu`'s current factors and with a fresh dense LU and
+// expects them to agree.
+void ExpectMatchesDense(const SparseLu& lu, const SparseBuilder& b,
+                        uint64_t seed) {
+  util::Rng rng(seed);
+  Vector rhs(b.dimension());
+  for (double& v : rhs) v = rng.NextDouble(-10, 10);
+  auto xs = lu.Solve(rhs);
+  ASSERT_TRUE(xs.ok());
+  LuFactorization dense;
+  ASSERT_TRUE(dense.Factor(b.ToDense()).ok());
+  auto xd = dense.Solve(rhs);
+  ASSERT_TRUE(xd.ok());
+  for (size_t i = 0; i < rhs.size(); ++i) {
+    EXPECT_NEAR((*xs)[i], (*xd)[i], 1e-9 * (1.0 + std::fabs((*xd)[i])))
+        << "i=" << i;
+  }
+}
+
+uint64_t CounterValue(const char* name) {
+  return util::telemetry::Capture().Value(name);
+}
+constexpr char kCompiles[] = "linalg.sparse_lu.schedule_compiles";
+constexpr char kFallbacks[] = "linalg.sparse_lu.refactor_fallbacks";
 }  // namespace
 
 TEST(SparseLuRefactor, FallsBackToFactorWhenUnfactored) {
@@ -290,6 +362,144 @@ TEST(SparseLuRefactor, BadPivotFallbackMatchesFreshFactorBitExact) {
   auto xf = fresh.Solve(rhs);
   ASSERT_TRUE(xr.ok() && xf.ok());
   for (size_t i = 0; i < n; ++i) EXPECT_EQ((*xr)[i], (*xf)[i]) << i;
+
+  // The fallback's new pivot order gets a new schedule: the next Refactor
+  // compiles once and replays exactly what a fresh object's does.
+  const uint64_t compiles = CounterValue(kCompiles);
+  ASSERT_TRUE(reused.Refactor(b).ok());
+  EXPECT_EQ(CounterValue(kCompiles), compiles + 1);
+  ASSERT_TRUE(fresh.Refactor(b).ok());
+  auto xr2 = reused.Solve(rhs);
+  auto xf2 = fresh.Solve(rhs);
+  ASSERT_TRUE(xr2.ok() && xf2.ok());
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ((*xr2)[i], (*xf2)[i]) << i;
+}
+
+TEST(SparseLuSchedule, PivotTinyAgainstItsRowFallsBack) {
+  // Above the singularity floor but below 1e-6 of its row: the stored
+  // order must be abandoned for a fresh pivot search.
+  SparseBuilder b(2);
+  b.Add(0, 0, 10.0);
+  b.Add(0, 1, 1.0);
+  b.Add(1, 0, 1.0);
+  b.Add(1, 1, 10.0);
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(b).ok());
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  *b.SlotPointer(0, 0) = 1e-9;
+  *b.SlotPointer(1, 1) = 1e-9;
+  const uint64_t fallbacks = CounterValue(kFallbacks);
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  EXPECT_EQ(CounterValue(kFallbacks), fallbacks + 1);
+  ExpectMatchesDense(lu, b, 3);
+}
+
+TEST(SparseLuSchedule, PivotBelowSingularityFloorFallsBack) {
+  // A whole row collapses below the singularity floor: the stored pivot
+  // is still the largest entry of its row, so only the floor guard sees
+  // it, and the fresh pivot search it falls back to reports singular.
+  SparseBuilder b(2);
+  b.Add(0, 0, 10.0);
+  b.Add(0, 1, 1.0);
+  b.Add(1, 0, 1.0);
+  b.Add(1, 1, 10.0);
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(b).ok());
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  *b.SlotPointer(1, 0) = 1e-18;
+  *b.SlotPointer(1, 1) = 1e-17;
+  const uint64_t fallbacks = CounterValue(kFallbacks);
+  EXPECT_EQ(lu.Refactor(b).code(), util::StatusCode::kSingularMatrix);
+  EXPECT_EQ(CounterValue(kFallbacks), fallbacks + 1);
+}
+
+TEST(SparseLuSchedule, SamePatternNewValuesCompilesOnce) {
+  for (uint64_t seed : {3u, 29u, 401u}) {
+    for (size_t n : {24u, 96u, 300u}) {
+      SparseBuilder b = RandomMnaLike(n, seed);
+      SparseLu lu;
+      ASSERT_TRUE(lu.Factor(b).ok());
+      const uint64_t compiles = CounterValue(kCompiles);
+      const uint64_t fallbacks = CounterValue(kFallbacks);
+      for (int pass = 0; pass < 4; ++pass) {
+        Revalue(&b, seed * 10 + static_cast<uint64_t>(pass));
+        ASSERT_TRUE(lu.Refactor(b).ok()) << "seed=" << seed << " n=" << n;
+        ExpectMatchesDense(lu, b, static_cast<uint64_t>(pass));
+      }
+      EXPECT_EQ(CounterValue(kCompiles), compiles + 1) << "seed=" << seed;
+      EXPECT_EQ(CounterValue(kFallbacks), fallbacks) << "seed=" << seed;
+    }
+  }
+}
+
+TEST(SparseLuSchedule, SlotAddedAfterFactorRecompiles) {
+  const size_t n = 64;
+  SparseBuilder b = RandomMnaLike(n, 77);
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(b).ok());
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  const uint64_t compiles = CounterValue(kCompiles);
+  // New off-diagonal slots (they bring fill with them), diagonal kept
+  // dominant so the stored pivot order stays acceptable.
+  for (size_t r = 0; r + 7 < n; r += 7) {
+    if (b.SlotPointer(r, r + 7) == nullptr) {
+      b.Add(r, r + 7, 0.5);
+      b.Add(r, r, 0.5);
+    }
+  }
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  EXPECT_EQ(CounterValue(kCompiles), compiles + 1);
+  ExpectMatchesDense(lu, b, 5);
+}
+
+TEST(SparseLuSchedule, DifferentBuilderSameCountsRecompiles) {
+  // Two builders of one dimension with the same number of slot
+  // insertions but different patterns, fed to one SparseLu.
+  const size_t n = 40;
+  SparseBuilder a(n), b(n);
+  for (size_t r = 0; r < n; ++r) {
+    a.Add(r, r, 4.0);
+    a.Add(r, (r + 1) % n, -1.0);
+    a.Add((r + 1) % n, r, -0.5);
+    b.Add(r, r, 5.0);
+    b.Add(r, (r + 3) % n, -1.5);
+    b.Add((r + 3) % n, r, 1.0);
+  }
+  ASSERT_EQ(a.num_entries(), b.num_entries());
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(a).ok());
+  ASSERT_TRUE(lu.Refactor(a).ok());
+  const uint64_t compiles = CounterValue(kCompiles);
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  EXPECT_EQ(CounterValue(kCompiles), compiles + 1);
+  ExpectMatchesDense(lu, b, 8);
+}
+
+TEST(SparseLuSchedule, ExactZeroAtFactorNonzeroLater) {
+  // Slots that hold exactly 0.0 when Factor() and the compile run (so
+  // Factor() drops them) and carry values later: the schedule must keep
+  // them, fill included.
+  const size_t n = 48;
+  SparseBuilder b = RandomMnaLike(n, 555);
+  std::vector<std::pair<size_t, size_t>> zeros;
+  for (size_t r = 0; r + 5 < n; r += 5) {
+    if (b.SlotPointer(r, r + 5) == nullptr) zeros.push_back({r, r + 5});
+    if (b.SlotPointer(r + 5, r) == nullptr) zeros.push_back({r + 5, r});
+  }
+  ASSERT_FALSE(zeros.empty());
+  for (const auto& [r, c] : zeros) b.Add(r, c, 0.0);
+  SparseLu lu;
+  ASSERT_TRUE(lu.Factor(b).ok());
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  ExpectMatchesDense(lu, b, 1);
+  const uint64_t version = b.pattern_version();
+  for (const auto& [r, c] : zeros) {
+    *b.SlotPointer(r, c) = 0.75;
+    b.Add(r, r, 0.75);
+  }
+  ASSERT_EQ(b.pattern_version(), version);
+  ASSERT_TRUE(lu.Refactor(b).ok());
+  ExpectMatchesDense(lu, b, 2);
 }
 
 TEST(SparseEngine, DcMatchesDenseOnCmlChain) {
